@@ -19,21 +19,12 @@
 //                 self-rescheduling timers at pseudo-random offsets.
 //   SleepChain  — coroutine sleepers; includes intrinsic resume cost, so
 //                 the engine-side win is diluted (reported for honesty).
-//
-// `--shards=N` (parsed before google-benchmark sees the argv) splits every
-// sim::Engine workload across N island queues with round-robin event
-// placement — the merge-at-dispatch overhead of the sharded execution path,
-// measured on the same workloads as the single-queue engine. LegacyEngine
-// ignores it.
 #include <benchmark/benchmark.h>
 
 #include <coroutine>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <queue>
-#include <type_traits>
 #include <vector>
 
 #include "common/units.h"
@@ -42,32 +33,6 @@
 namespace {
 
 using namespace dpu;
-
-int g_shards = 1;
-
-/// Splits a fresh engine into island queues (sim::Engine only; must run
-/// before any event is scheduled).
-template <typename E>
-void configure_shards(E& eng) {
-  if constexpr (std::is_same_v<E, sim::Engine>) {
-    if (g_shards > 1) eng.set_islands(static_cast<std::size_t>(g_shards));
-  } else {
-    (void)eng;
-  }
-}
-
-/// Round-robin island placement for the i-th seeded event/process.
-template <typename E>
-void place(E& eng, int i) {
-  if constexpr (std::is_same_v<E, sim::Engine>) {
-    if (g_shards > 1) {
-      eng.set_current_island(static_cast<std::size_t>(i) % eng.islands());
-    }
-  } else {
-    (void)eng;
-    (void)i;
-  }
-}
 
 /// Replica of the pre-refactor event core (callback-only subset: spawn and
 /// error plumbing are irrelevant to event throughput).
@@ -128,7 +93,6 @@ void BM_WakeBurst(benchmark::State& state) {
   std::int64_t events = 0;
   for (auto _ : state) {
     E eng;
-    configure_shards(eng);
     std::uint64_t fired = 0;
     // leaf/driver must outlive run_engine: scheduled copies capture them by
     // reference.
@@ -157,11 +121,9 @@ void BM_PendingHeap(benchmark::State& state) {
     // throughput of an n-deep queue (pop + dispatch), not push cost.
     state.PauseTiming();
     auto eng = std::make_unique<E>();
-    configure_shards(*eng);
     std::uint64_t lcg = 0x9e3779b97f4a7c15ull;
     for (int i = 0; i < n; ++i) {
       lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-      place(*eng, i);
       eng->schedule_at(1 + (lcg >> 33), [&sink] { ++sink; });
     }
     state.ResumeTiming();
@@ -183,7 +145,6 @@ void BM_HoldModel(benchmark::State& state) {
   std::int64_t events = 0;
   for (auto _ : state) {
     E eng;
-    configure_shards(eng);
     std::uint64_t fired = 0;
     std::uint64_t lcg = 0x9e3779b97f4a7c15ull;
     std::function<void()> tick = [&] {
@@ -195,7 +156,6 @@ void BM_HoldModel(benchmark::State& state) {
     };
     for (int i = 0; i < population; ++i) {
       lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-      place(eng, i);
       eng.schedule_at(1 + (lcg >> 33) % 1000, tick);
     }
     events += static_cast<std::int64_t>(run_engine(eng));
@@ -235,11 +195,7 @@ void BM_SleepChain(benchmark::State& state) {
   std::int64_t events = 0;
   for (auto _ : state) {
     E eng;
-    configure_shards(eng);
-    for (int p = 0; p < procs; ++p) {
-      place(eng, p);
-      sleeper(eng, sleeps);
-    }
+    for (int p = 0; p < procs; ++p) sleeper(eng, sleeps);
     events += static_cast<std::int64_t>(run_engine(eng));
   }
   state.SetItemsProcessed(events);
@@ -256,22 +212,4 @@ BENCHMARK_TEMPLATE(BM_SleepChain, LegacyEngine)->Arg(4096)->Name("BM_SleepChain/
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Strip --shards=N before google-benchmark parses the command line (it
-  // rejects flags it does not know).
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      g_shards = std::atoi(argv[i] + 9);
-      if (g_shards < 1) g_shards = 1;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

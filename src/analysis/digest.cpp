@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "sim/engine.h"
-#include "sim/shard.h"
 #include "sim/trace.h"
 
 namespace dpu::analysis {
@@ -32,11 +31,11 @@ std::uint64_t RunRecord::digest() const {
   return d.value();
 }
 
-namespace {
-
-void capture_metrics(const metrics::MetricsRegistry& reg, RunRecord& rec) {
+RunRecord capture_run(const sim::Engine& eng, const sim::Trace* trace) {
+  RunRecord rec;
+  rec.final_time = eng.now();
   Digest md;
-  reg.for_each_counter([&](const std::string& name, std::uint64_t v) {
+  eng.metrics().for_each_counter([&](const std::string& name, std::uint64_t v) {
     // Scheduler-effort counters measure how the event loop ran, not what the
     // simulated system did: a tie permutation legally changes how often a
     // progress loop wakes to find nothing to do. Everything else must match.
@@ -45,21 +44,13 @@ void capture_metrics(const metrics::MetricsRegistry& reg, RunRecord& rec) {
     md.mix(name);
     md.mix(v);
   });
-  reg.for_each_gauge([&](const std::string& name, double v) {
+  eng.metrics().for_each_gauge([&](const std::string& name, double v) {
     std::ostringstream os;
     os << name << "=" << v;
     rec.metric_lines.push_back(os.str());
     md.mix(rec.metric_lines.back());
   });
   rec.metrics_digest = md.value();
-}
-
-}  // namespace
-
-RunRecord capture_run(const sim::Engine& eng, const sim::Trace* trace) {
-  RunRecord rec;
-  rec.final_time = eng.now();
-  capture_metrics(eng.metrics(), rec);
 
   if (trace != nullptr) {
     std::vector<const sim::TraceSpan*> order;
@@ -83,15 +74,6 @@ RunRecord capture_run(const sim::Engine& eng, const sim::Trace* trace) {
     }
     rec.trace_digest = td.value();
   }
-  return rec;
-}
-
-RunRecord capture_sharded_run(const sim::ShardScheduler& sched) {
-  RunRecord rec;
-  rec.final_time = sched.virtual_end();
-  metrics::MetricsRegistry merged;
-  sched.merged_metrics(merged);
-  capture_metrics(merged, rec);
   return rec;
 }
 

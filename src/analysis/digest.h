@@ -23,7 +23,6 @@
 
 namespace dpu::sim {
 class Engine;
-class ShardScheduler;
 class Trace;
 }  // namespace dpu::sim
 
@@ -61,13 +60,6 @@ struct RunRecord {
 /// Snapshots `eng`'s metrics registry (and `trace`, when non-null) into a
 /// RunRecord. Call after Engine::run returned.
 RunRecord capture_run(const sim::Engine& eng, const sim::Trace* trace);
-
-/// Snapshots a finished ShardScheduler run: every island's registry folded
-/// via MetricsRegistry::merge_from (deterministic sorted-name visitation)
-/// plus the run's true virtual extent. Capturing the same workload at 1, 2
-/// and N shards and comparing records is the shard certification story
-/// (tests/shard_test.cpp): equal digests mean the partition was invisible.
-RunRecord capture_sharded_run(const sim::ShardScheduler& sched);
 
 /// Human-readable first divergence between two records: the first trace
 /// event present/differing between them, else the first differing metric

@@ -14,12 +14,6 @@ World::World(machine::ClusterSpec spec, bool with_offload) : spec_(spec) {
   if (const char* e = std::getenv("DPU_CHECK"); e != nullptr && *e != '\0') {
     enable_checker();
   }
-  // Sharded specs split the engine into per-island event queues (merged at
-  // dispatch — provably identical order to one queue; see Engine). Rank
-  // programs land on their node's island in launch(); the full test suite
-  // run under a sharded spec therefore certifies the multi-queue merge.
-  topo_ = spec_.resolve_topology();
-  if (topo_.shards > 1) eng_.set_islands(static_cast<std::size_t>(topo_.shards));
   fab_ = std::make_unique<fabric::Fabric>(eng_, spec_);
   vrt_ = std::make_unique<verbs::Runtime>(eng_, spec_, *fab_);
   mpi_ = std::make_unique<mpi::MpiWorld>(*vrt_);
@@ -54,10 +48,6 @@ void World::launch(int rank, RankProgram prog) {
     for (std::size_t i = 0; i < ranks.size(); ++i) {
       if (ranks[i] == rank) ctx.tenant_rank = static_cast<int>(i);
     }
-  }
-  if (eng_.islands() > 1) {
-    eng_.set_current_island(
-        static_cast<std::size_t>(topo_.island_of(spec_.node_of(rank))));
   }
   launched_.push_back(eng_.spawn(invoke(std::move(prog), ctx), "rank" + std::to_string(rank)));
 }

@@ -121,7 +121,6 @@ class World {
   static sim::Task<void> invoke(RankProgram prog, Rank rank_ctx);
 
   machine::ClusterSpec spec_;
-  machine::Topology topo_;
   sim::Engine eng_;
   std::unique_ptr<fabric::Fabric> fab_;
   std::unique_ptr<verbs::Runtime> vrt_;

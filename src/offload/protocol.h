@@ -441,7 +441,7 @@ struct SendDeliveredMsg {
 /// degrade in the same instant used to collide on the old global constants
 /// (-7777/-7778 + fb_tag scoping is only unique within one job), silently
 /// cross-matching their replay traffic. Every call site must go through
-/// these helpers — scripts/lint.py bans raw -7777/-7778 literals elsewhere.
+/// these helpers — dpulint's fallback-ctx rule bans raw -7777/-7778 literals elsewhere.
 inline constexpr int kFailoverContextBase = -7777;
 
 inline constexpr int failover_group_context(int tenant) {

@@ -150,7 +150,7 @@ Engine::~Engine() {
   // Drain scheduled work without executing it (slot destruction releases
   // callback captures), then destroy every root frame; nested frames are
   // destroyed recursively through Task ownership.
-  for (auto& q : queues_) q.clear();
+  queue_.clear();
   now_fifo_.clear();
   callback_slots_.clear();
   free_slots_.clear();
@@ -188,32 +188,18 @@ ProcHandle Engine::spawn(Task<void> task, std::string name) {
 }
 
 RunResult Engine::run(SimTime until) {
-  const bool multi = queues_.size() > 1;
   while (true) {
-    // Select the minimum island queue top by (time, tie_key). The island
-    // queues share one global seq counter, so this merge reproduces the
-    // exact dispatch order of a single queue — routing is semantics-free.
-    std::size_t bq = 0;
-    bool have_q = !queues_[0].empty();
-    if (multi) {
-      for (std::size_t i = have_q ? 1 : 0; i < queues_.size(); ++i) {
-        if (queues_[i].empty()) continue;
-        if (!have_q || node_less(queues_[i].top(), queues_[bq].top())) {
-          bq = i;
-          have_q = true;
-        }
-      }
-    }
+    const bool have_q = !queue_.empty();
     const bool have = have_q || !now_fifo_.empty();
     // Two-way merge on (time, seq): the FIFO holds current-timestamp events
     // in seq order, so comparing its front against the queue top recovers
     // the exact global dispatch order of a single queue.
     const bool from_fifo =
         !now_fifo_.empty() &&
-        (!have_q || now_fifo_.front().time < queues_[bq].top().time ||
-         (now_fifo_.front().time == queues_[bq].top().time &&
-          now_fifo_.front().seq < queues_[bq].top().seq));
-    const SimTime next_t = have ? (from_fifo ? now_fifo_.front().time : queues_[bq].top().time)
+        (!have_q || now_fifo_.front().time < queue_.top().time ||
+         (now_fifo_.front().time == queue_.top().time &&
+          now_fifo_.front().seq < queue_.top().seq));
+    const SimTime next_t = have ? (from_fifo ? now_fifo_.front().time : queue_.top().time)
                                 : kTimeInfinity;
     if (!settle_.empty() && next_t > now_) {
       // End of the current instant: run the settle hooks before the clock
@@ -239,9 +225,7 @@ RunResult Engine::run(SimTime until) {
     if (from_fifo) {
       ev = now_fifo_.pop();
     } else {
-      ev = queues_[bq].pop();
-      // Work a handler schedules lands on the island whose queue fired it.
-      current_island_ = bq;
+      ev = queue_.pop();
       // Slow-arm slots are filled in schedule order but drained in time
       // order, so slot accesses are near-guaranteed cache misses on a deep
       // queue. Run an 8-deep prefetch pipeline over the armed ready batch;
@@ -253,16 +237,15 @@ RunResult Engine::run(SimTime until) {
           __builtin_prefetch(&callback_slots_[n.payload >> 1]);
         }
       };
-      if (queues_[bq].ready_remaining() > kPrefetchAhead) {
-        prefetch_slot(queues_[bq].ready_peek(kPrefetchAhead));
-      } else if (!queues_[bq].empty()) {
-        prefetch_slot(queues_[bq].top());
-        const std::size_t warm = std::min(queues_[bq].ready_remaining(), kPrefetchAhead);
-        for (std::size_t k = 1; k < warm; ++k) prefetch_slot(queues_[bq].ready_peek(k));
+      if (queue_.ready_remaining() > kPrefetchAhead) {
+        prefetch_slot(queue_.ready_peek(kPrefetchAhead));
+      } else if (!queue_.empty()) {
+        prefetch_slot(queue_.top());
+        const std::size_t warm = std::min(queue_.ready_remaining(), kPrefetchAhead);
+        for (std::size_t k = 1; k < warm; ++k) prefetch_slot(queue_.ready_peek(k));
       }
     }
     now_ = ev.time;
-    last_event_ = ev.time;
     ++events_executed_;
     if ((ev.payload & kCallbackTag) == 0) {
       std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ev.payload)).resume();

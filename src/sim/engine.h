@@ -115,64 +115,6 @@ class Engine {
   /// Current simulated time.
   SimTime now() const { return now_; }
 
-  /// Advances the clock to `t` without dispatching anything. Only meaningful
-  /// when no queued event precedes `t` — an external driver (the shard
-  /// fabric's island loop) uses it to align now() with a delivery instant it
-  /// manages outside the event queue. run(until) already advances the clock
-  /// when events remain; this covers the empty-queue case it cannot.
-  void advance_now(SimTime t) {
-    require(t >= now_, "advancing the clock backwards");
-    now_ = t;
-  }
-
-  /// Records externally-driven virtual work at `t`: shard-fabric deliveries
-  /// are not engine events, but they count toward last_event_time() — the
-  /// run's true virtual extent.
-  void mark_work_at(SimTime t) {
-    if (t > last_event_) last_event_ = t;
-  }
-
-  /// Timestamp of the last dispatched event. Unlike now(), this is not
-  /// clobbered by run(until)'s horizon assignment, so a sharded driver can
-  /// recover the true virtual extent of the work an engine performed.
-  SimTime last_event_time() const { return last_event_; }
-
-  /// Earliest queued event across every island queue and the now-FIFO, or
-  /// kTimeInfinity when idle. Used by the shard scheduler to derive the next
-  /// epoch window without disturbing queue state.
-  SimTime next_event_time() {
-    SimTime t = now_fifo_.empty() ? kTimeInfinity : now_fifo_.front().time;
-    for (auto& q : queues_) {
-      if (!q.empty() && q.top().time < t) t = q.top().time;
-    }
-    return t;
-  }
-
-  /// Splits the event store into `n` independently-pumped island queues.
-  /// run() merges them by (time, tie_key(seq)) with a single global seq, so
-  /// the dispatch order is provably identical to one queue regardless of how
-  /// events are routed — island assignment is a performance hint, never a
-  /// semantic one. Only legal while no events are queued (call it right
-  /// after construction, before any spawn).
-  void set_islands(std::size_t n) {
-    require(n >= 1, "at least one island");
-    require(now_fifo_.empty(), "island change with queued events");
-    for (auto& q : queues_) require(q.empty(), "island change with queued events");
-    queues_.resize(n);
-    for (auto& q : queues_) q.set_tie_seed(tie_shuffle_seed_);
-    if (current_island_ >= n) current_island_ = 0;
-  }
-  std::size_t islands() const { return queues_.size(); }
-
-  /// Island new events are routed to. Dispatching an event from island i
-  /// resets this to i, so work a handler schedules stays on the handler's
-  /// island; override it around spawn to place a process.
-  void set_current_island(std::size_t i) {
-    require(i < queues_.size(), "island out of range");
-    current_island_ = i;
-  }
-  std::size_t current_island() const { return current_island_; }
-
   /// Schedules `fn` to run at absolute time `t` (must be >= now()).
   void schedule_at(SimTime t, std::function<void()> fn);
 
@@ -246,15 +188,12 @@ class Engine {
     if (seed == tie_shuffle_seed_) return;
     tie_shuffle_seed_ = seed;
     std::vector<EvNode> pending;
-    for (auto& q : queues_) {
-      pending.clear();
-      pending.reserve(q.size());
-      while (!q.empty()) pending.push_back(q.pop());
-      q.set_tie_seed(seed);
-      for (const auto& n : pending) q.push(n);
-    }
+    pending.reserve(queue_.size());
+    while (!queue_.empty()) pending.push_back(queue_.pop());
+    queue_.set_tie_seed(seed);
+    for (const auto& n : pending) queue_.push(n);
     // FIFO entries lose their fast lane once the key function changes.
-    while (!now_fifo_.empty()) queues_[current_island_].push(now_fifo_.pop());
+    while (!now_fifo_.empty()) queue_.push(now_fifo_.pop());
   }
   std::uint64_t tie_shuffle_seed() const { return tie_shuffle_seed_; }
 
@@ -565,31 +504,18 @@ class Engine {
         (now_fifo_.empty() || now_fifo_.front().time == now_)) {
       now_fifo_.push(n);
     } else {
-      queues_[current_island_].push(n);
+      queue_.push(n);
     }
   }
 
-  /// (time, tie_key) order used to merge island queue tops in run(); mirrors
-  /// the per-queue key so the merged order equals a single global queue.
-  std::uint64_t node_key(std::uint64_t seq) const {
-    if (tie_shuffle_seed_ == 0) return seq;
-    std::uint64_t s = seq ^ tie_shuffle_seed_;
-    return splitmix64(s);
-  }
-  bool node_less(const EvNode& a, const EvNode& b) const {
-    return a.time != b.time ? a.time < b.time : node_key(a.seq) < node_key(b.seq);
-  }
-
   SimTime now_ = 0;
-  SimTime last_event_ = 0;
   Trace* trace_ = nullptr;
   analysis::ProtocolChecker* checker_ = nullptr;
   std::uint64_t next_seq_ = 0;
   std::uint64_t tie_shuffle_seed_ = 0;
-  std::size_t current_island_ = 0;
   metrics::MetricsRegistry metrics_;
   metrics::Counter events_executed_;
-  std::vector<CalendarQueue> queues_ = std::vector<CalendarQueue>(1);
+  CalendarQueue queue_;
   NowFifo now_fifo_;
   std::vector<std::function<void()>> settle_;  // end-of-instant hooks (FIFO)
   std::vector<std::function<void()>> callback_slots_;  // slow-arm storage

@@ -1,10 +1,16 @@
 // dpulint self-test fixture: a miniature protocol header with planted
-// proto-field and handler-exhaustive violations. Never compiled — only
-// lexed by `dpulint --self-test`. An expect-comment (rule names after the
-// colon) marks a line the analyzer MUST flag; unmarked lines must be clean.
+// nodiscard, proto-field and handler-exhaustive violations. Never compiled —
+// only lexed by `dpulint --self-test`. An expect-comment (rule names after
+// the colon) marks a line the analyzer MUST flag; unmarked lines must be
+// clean.
 #pragma once
 
 namespace fixture {
+
+/// Planted: the completion status without [[nodiscard]]. The commented-out
+/// declaration above it is a decoy: comments must not satisfy the rule.
+// enum class [[nodiscard]] Status { kOk, kFailed };
+enum class Status { kOk, kFailed };  // expect: nodiscard
 
 enum class MsgKind {
   kPing,

@@ -1,6 +1,5 @@
-// dpulint self-test fixture: planted token-rule violations (the rules
-// ported from scripts/lint.py) plus their waived twins. Never compiled —
-// only lexed.
+// dpulint self-test fixture: planted token-rule violations plus their
+// waived twins. Never compiled — only lexed.
 #include <chrono>
 #include <thread>  // expect: thread
 #include <vector>

@@ -89,7 +89,7 @@ Index build_index(const std::string& root);
 std::vector<Finding> run_rules(const Index& idx);
 
 /// True when a `// lint: <rule> ok: <reason>` comment sits on `line` or the
-/// five lines above it (the shared waiver syntax of scripts/lint.py).
+/// five lines above it.
 bool waived(const FileUnit& f, int line, const std::string& rule);
 
 }  // namespace dpulint

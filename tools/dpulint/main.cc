@@ -5,9 +5,9 @@
 //   dpulint --root DIR --json-out FILE   also write the JSON to FILE
 //   dpulint --root DIR --self-test       run the planted-violation fixture
 //
-// Text findings print as `file:line: [rule] message` (same shape as
-// scripts/lint.py, so editors and CI annotations keep working). Exit code is
-// 0 when clean, 1 on findings or a self-test mismatch, 2 on usage errors.
+// Text findings print as `file:line: [rule] message`, the shape editors and
+// CI annotations parse. Exit code is 0 when clean, 1 on findings or a
+// self-test mismatch, 2 on usage errors.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>

@@ -1,9 +1,8 @@
 // The rule catalogue. Token rules (wall-clock, raw-post, ev-alloc, thread,
-// fallback-ctx) are ports of the scripts/lint.py regex rules onto the token
-// stream, so string/comment false positives are structurally impossible.
-// The cross-file rules (proto-field, handler-exhaustive, layer-dag,
-// await-status, repo-wide metric-dup) need the symbol index and are the
-// reason this tool exists — no single-line regex can express them.
+// fallback-ctx, nodiscard) match on the token stream, so string/comment
+// false positives are structurally impossible. The cross-file rules
+// (proto-field, handler-exhaustive, layer-dag, await-status, repo-wide
+// metric-dup) need the symbol index — no single-line regex can express them.
 #include <algorithm>
 #include <cctype>
 #include <map>
@@ -92,18 +91,14 @@ void token_rules(Ctx& c, const FileUnit& f) {
   const bool raw_post_exempt =
       f.rel.rfind("src/verbs/", 0) == 0 ||
       f.rel == "src/offload/reliable.cpp" || f.rel == "src/offload/reliable.h";
-  const bool thread_exempt =
-      f.rel == "src/sim/shard.h" || f.rel == "src/sim/shard.cpp";
   const bool fallback_exempt = f.rel == "src/offload/protocol.h";
 
-  if (!thread_exempt) {
-    for (const IncludeRef& inc : f.lx.includes)
-      if (inc.system && thread_header(inc.path))
-        c.add(f, inc.line, "thread",
-              "#include <" + inc.path +
-                  "> outside src/sim/shard.*: route concurrency through "
-                  "ShardScheduler, or add '// lint: thread ok: <reason>'");
-  }
+  for (const IncludeRef& inc : f.lx.includes)
+    if (inc.system && thread_header(inc.path))
+      c.add(f, inc.line, "thread",
+            "#include <" + inc.path +
+                ">: the simulator is single-threaded (one sim::Engine); "
+                "add '// lint: thread ok: <reason>' if truly needed");
 
   for (std::size_t i = 0; i < t.size(); ++i) {
     const Token& tok = t[i];
@@ -186,12 +181,12 @@ void token_rules(Ctx& c, const FileUnit& f) {
       }
     }
 
-    // ---- thread (everywhere, shard.* exempt) --------------------------------
-    if (!thread_exempt && is_ident(tok) && thread_prim(tok.text) && std_qual)
+    // ---- thread (everywhere) -----------------------------------------------
+    if (is_ident(tok) && thread_prim(tok.text) && std_qual)
       c.add(f, tok.line, "thread",
-            "raw threading primitive outside src/sim/shard.*: route "
-            "concurrency through ShardScheduler, or add "
-            "'// lint: thread ok: <reason>'");
+            "raw threading primitive: the simulator is single-threaded "
+            "(one sim::Engine); add '// lint: thread ok: <reason>' if truly "
+            "needed");
 
     // ---- fallback-ctx (everywhere, protocol.h exempt) -----------------------
     if (!fallback_exempt && tok.kind == Tok::kNumber && i >= 1 &&
@@ -354,6 +349,41 @@ void metric_dup(Ctx& c) {
   }
 }
 
+/// The offload completion Status must be `enum class [[nodiscard]] Status`
+/// so -Werror=unused-result turns every ignored status into a build error.
+/// Comments are not tokens, so a commented-out declaration never counts.
+void nodiscard_status(Ctx& c) {
+  const FileUnit* pf = c.idx.protocol_file;
+  if (!pf) {
+    c.out.push_back(Finding{"src/offload/protocol.h", 1, "nodiscard",
+                            "file not found"});
+    return;
+  }
+  const auto& t = pf->lx.tokens;
+  bool declared = false;
+  for (std::size_t i = 0; i + 2 < t.size(); ++i) {
+    if (!is_ident(t[i], "enum") ||
+        !(is_ident(t[i + 1], "class") || is_ident(t[i + 1], "struct")))
+      continue;
+    std::size_t j = i + 2;
+    bool nodiscard = false;
+    while (j + 1 < t.size() && is_punct(t[j], "[") && is_punct(t[j + 1], "[")) {
+      for (j += 2; j < t.size() && !is_punct(t[j], "]"); ++j)
+        if (is_ident(t[j], "nodiscard")) nodiscard = true;
+      j += 2;  // the closing "]]"
+    }
+    if (j >= t.size() || !is_ident(t[j], "Status")) continue;
+    declared = true;
+    if (!nodiscard)
+      c.add(*pf, t[i].line, "nodiscard",
+            "'enum class Status' lacks [[nodiscard]]: an ignored completion "
+            "status is a silent-failover bug");
+  }
+  if (!declared)
+    c.add(*pf, 1, "nodiscard",
+          "'enum class [[nodiscard]] Status' is not declared");
+}
+
 void proto_field(Ctx& c) {
   const Index& idx = c.idx;
   if (!idx.protocol_file) return;
@@ -435,6 +465,7 @@ std::vector<Finding> run_rules(const Index& idx) {
     layer_dag(c, f);
   }
   metric_dup(c);
+  nodiscard_status(c);
   proto_field(c);
   handler_exhaustive(c);
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
