@@ -91,7 +91,6 @@ analysis::RunRecord run_fault_sweep(std::uint64_t tie_seed) {
   s.fault.dup_prob = 0.08;
   s.fault.delay_prob = 0.10;
   s.fault.channels = {offload::kProxyChannel, offload::kGroupMetaChannel};
-  s.fault.content_keyed = true;  // fates keyed to messages, not wire order
   return run_group_alltoall(tie_seed, s);
 }
 

@@ -2,29 +2,23 @@
 // the allocation-light event core exists to move. (Wall-clock costs of the
 // simulator itself, not simulated time.)
 //
-// Every workload runs twice: against sim::Engine and against LegacyEngine,
-// an in-file replica of the engine this refactor replaced (one
-// std::priority_queue of {time, seq, std::function} nodes; resume_at wraps
-// the coroutine handle in a lambda). Items/sec IS events/sec, so the
-// new-vs-legacy ratio of any workload pair reads directly off the report.
+// Items/sec IS events/sec. (The last ratios against the pre-calendar-queue
+// engine are recorded in EXPERIMENTS.md and DESIGN.md §11.)
 //
 // Workload shapes:
 //   WakeBurst   — same-timestamp fan-out, the simulator's dominant event
 //                 shape (every Event/Notifier/Channel wake lands at now()).
 //                 Exercises the same-time FIFO lane.
 //   PendingHeap — a deep queue of distinct-time callbacks; exercises the
-//                 4-ary heap + callback slot pool against std::function
-//                 nodes sifting through a binary heap.
+//                 calendar bands + callback slot pool.
 //   HoldModel   — classic DES steady state: a fixed population of
 //                 self-rescheduling timers at pseudo-random offsets.
-//   SleepChain  — coroutine sleepers; includes intrinsic resume cost, so
-//                 the engine-side win is diluted (reported for honesty).
+//   SleepChain  — coroutine sleepers; includes intrinsic resume cost.
 #include <benchmark/benchmark.h>
 
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/units.h"
@@ -34,65 +28,20 @@ namespace {
 
 using namespace dpu;
 
-/// Replica of the pre-refactor event core (callback-only subset: spawn and
-/// error plumbing are irrelevant to event throughput).
-class LegacyEngine {
- public:
-  SimTime now() const { return now_; }
-
-  void schedule_at(SimTime t, std::function<void()> fn) {
-    queue_.push(Ev{t, next_seq_++, std::move(fn)});
-  }
-  void schedule_in(SimDuration d, std::function<void()> fn) {
-    schedule_at(now_ + d, std::move(fn));
-  }
-  void resume_at(SimTime t, std::coroutine_handle<> h) {
-    schedule_at(t, [h] { h.resume(); });
-  }
-  void resume_in(SimDuration d, std::coroutine_handle<> h) { resume_at(now_ + d, h); }
-
-  std::uint64_t run() {
-    std::uint64_t executed = 0;
-    while (!queue_.empty()) {
-      Ev ev = std::move(const_cast<Ev&>(queue_.top()));
-      queue_.pop();
-      now_ = ev.time;
-      ++executed;
-      ev.fn();
-    }
-    return executed;
-  }
-
- private:
-  struct Ev {
-    SimTime time;
-    std::uint64_t seq;
-    std::function<void()> fn;
-    bool operator>(const Ev& o) const {
-      return time != o.time ? time > o.time : seq > o.seq;
-    }
-  };
-  SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::priority_queue<Ev, std::vector<Ev>, std::greater<>> queue_;
-};
-
 std::uint64_t run_engine(sim::Engine& eng) {
   const std::uint64_t before = eng.events_executed();
   (void)eng.run();
   return eng.events_executed() - before;
 }
-std::uint64_t run_engine(LegacyEngine& eng) { return eng.run(); }
 
 // ---- WakeBurst ---------------------------------------------------------------
 
-template <typename E>
 void BM_WakeBurst(benchmark::State& state) {
   const int burst = static_cast<int>(state.range(0));
   const std::uint64_t steps = 4000;
   std::int64_t events = 0;
   for (auto _ : state) {
-    E eng;
+    sim::Engine eng;
     std::uint64_t fired = 0;
     // leaf/driver must outlive run_engine: scheduled copies capture them by
     // reference.
@@ -111,7 +60,6 @@ void BM_WakeBurst(benchmark::State& state) {
 
 // ---- PendingHeap -------------------------------------------------------------
 
-template <typename E>
 void BM_PendingHeap(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   std::int64_t events = 0;
@@ -120,7 +68,7 @@ void BM_PendingHeap(benchmark::State& state) {
     // Fill outside the timed region: the measured quantity is drain
     // throughput of an n-deep queue (pop + dispatch), not push cost.
     state.PauseTiming();
-    auto eng = std::make_unique<E>();
+    auto eng = std::make_unique<sim::Engine>();
     std::uint64_t lcg = 0x9e3779b97f4a7c15ull;
     for (int i = 0; i < n; ++i) {
       lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
@@ -138,13 +86,12 @@ void BM_PendingHeap(benchmark::State& state) {
 
 // ---- HoldModel ---------------------------------------------------------------
 
-template <typename E>
 void BM_HoldModel(benchmark::State& state) {
   const int population = static_cast<int>(state.range(0));
   const std::uint64_t total = 500000;
   std::int64_t events = 0;
   for (auto _ : state) {
-    E eng;
+    sim::Engine eng;
     std::uint64_t fired = 0;
     std::uint64_t lcg = 0x9e3779b97f4a7c15ull;
     std::function<void()> tick = [&] {
@@ -177,10 +124,9 @@ struct Detached {
   };
 };
 
-template <typename E>
-Detached sleeper(E& eng, int sleeps) {
+Detached sleeper(sim::Engine& eng, int sleeps) {
   struct Awaiter {
-    E& eng;
+    sim::Engine& eng;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) { eng.resume_in(1, h); }
     void await_resume() const noexcept {}
@@ -188,27 +134,22 @@ Detached sleeper(E& eng, int sleeps) {
   for (int i = 0; i < sleeps; ++i) co_await Awaiter{eng};
 }
 
-template <typename E>
 void BM_SleepChain(benchmark::State& state) {
   const int procs = static_cast<int>(state.range(0));
   const int sleeps = 64;
   std::int64_t events = 0;
   for (auto _ : state) {
-    E eng;
+    sim::Engine eng;
     for (int p = 0; p < procs; ++p) sleeper(eng, sleeps);
     events += static_cast<std::int64_t>(run_engine(eng));
   }
   state.SetItemsProcessed(events);
 }
 
-BENCHMARK_TEMPLATE(BM_WakeBurst, sim::Engine)->Arg(64)->Name("BM_WakeBurst/new");
-BENCHMARK_TEMPLATE(BM_WakeBurst, LegacyEngine)->Arg(64)->Name("BM_WakeBurst/legacy");
-BENCHMARK_TEMPLATE(BM_PendingHeap, sim::Engine)->Arg(500000)->Name("BM_PendingHeap/new");
-BENCHMARK_TEMPLATE(BM_PendingHeap, LegacyEngine)->Arg(500000)->Name("BM_PendingHeap/legacy");
-BENCHMARK_TEMPLATE(BM_HoldModel, sim::Engine)->Arg(4096)->Name("BM_HoldModel/new");
-BENCHMARK_TEMPLATE(BM_HoldModel, LegacyEngine)->Arg(4096)->Name("BM_HoldModel/legacy");
-BENCHMARK_TEMPLATE(BM_SleepChain, sim::Engine)->Arg(4096)->Name("BM_SleepChain/new");
-BENCHMARK_TEMPLATE(BM_SleepChain, LegacyEngine)->Arg(4096)->Name("BM_SleepChain/legacy");
+BENCHMARK(BM_WakeBurst)->Arg(64);
+BENCHMARK(BM_PendingHeap)->Arg(500000);
+BENCHMARK(BM_HoldModel)->Arg(4096);
+BENCHMARK(BM_SleepChain)->Arg(4096);
 
 }  // namespace
 

@@ -18,8 +18,9 @@ JOBS=$(nproc 2>/dev/null || echo 4)
 # Lint gate first: dpulint (the token-aware analyzer, DESIGN.md §14) runs in
 # seconds and catches whole bug classes (wall-clock in the model, raw
 # control-plane posts, dropped Status, a Status enum without [[nodiscard]],
-# layering inversions, unhandled message kinds) before the expensive
-# sanitized build starts. The plain build/ tree is configured ONCE here and
+# layering inversions, untenanted wire messages) before the expensive
+# sanitized build starts. Unhandled message kinds are compile errors
+# (closed variants, DESIGN.md §15), so no lint rule checks them. The plain build/ tree is configured ONCE here and
 # reused for dpulint, lint-tidy, and the compile database — no
 # reconfiguring per stage.
 echo "== lint gate =="
@@ -39,9 +40,9 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # The fault-injection suite is the one place drop/dup/delay recovery paths
-# (retransmit timers, dup suppression, envelope unwrap) execute; run it as
-# its own sanitized pass so a fault-path memory bug can never hide behind a
-# parallel ctest summary.
+# (retransmit timers, dup suppression, deferred credit grants) execute; run
+# it as its own sanitized pass so a fault-path memory bug can never hide
+# behind a parallel ctest summary.
 echo "== fault-injection suite (sanitized) =="
 "$BUILD_DIR"/tests/fault_test
 

@@ -6,7 +6,7 @@ namespace dpu::fabric {
 
 FaultPlan::FaultPlan(const machine::FaultSpec& spec, const machine::ClusterSpec& cluster,
                      metrics::MetricsRegistry& reg)
-    : spec_(spec), reg_(reg), rng_(spec.seed) {
+    : spec_(spec), reg_(reg) {
   if (spec_.enabled) {
     require(spec_.drop_prob + spec_.dup_prob + spec_.delay_prob <= 1.0,
             "fault probabilities must sum to at most 1");
@@ -38,25 +38,19 @@ FaultPlan::Decision FaultPlan::decide(int channel, int src_proc, int dst_proc,
   } else if (!spec_.faults_channel(channel)) {
     return d;
   }
-  double u;
-  double delay_u = 0.0;
-  if (spec_.content_keyed) {
-    // Fate = pure function of the message's identity, not of global draw
-    // order: same traffic => same fault pattern under any tie scheduling.
-    const std::uint64_t k = stream_pos_[{src_proc, dst_proc, channel}]++;
-    std::uint64_t st = spec_.seed;
-    const auto fold = [&st](std::uint64_t v) {
-      st ^= v + 0x9E3779B97f4A7C15ull + (st << 6) + (st >> 2);
-    };
-    fold(static_cast<std::uint64_t>(src_proc));
-    fold(static_cast<std::uint64_t>(dst_proc));
-    fold(static_cast<std::uint64_t>(channel + 8));  // kFlagWriteChannel == -2
-    fold(k);
-    u = static_cast<double>(splitmix64(st) >> 11) * 0x1.0p-53;
-    delay_u = static_cast<double>(splitmix64(st) >> 11) * 0x1.0p-53;
-  } else {
-    u = rng_.uniform();
-  }
+  // Fate = pure function of the message's identity, not of global draw
+  // order: same traffic => same fault pattern under any tie scheduling.
+  const std::uint64_t k = stream_pos_[{src_proc, dst_proc, channel}]++;
+  std::uint64_t st = spec_.seed;
+  const auto fold = [&st](std::uint64_t v) {
+    st ^= v + 0x9E3779B97f4A7C15ull + (st << 6) + (st >> 2);
+  };
+  fold(static_cast<std::uint64_t>(src_proc));
+  fold(static_cast<std::uint64_t>(dst_proc));
+  fold(static_cast<std::uint64_t>(channel + 8));  // kFlagWriteChannel == -2
+  fold(k);
+  const double u = static_cast<double>(splitmix64(st) >> 11) * 0x1.0p-53;
+  const double delay_u = static_cast<double>(splitmix64(st) >> 11) * 0x1.0p-53;
   if (u < spec_.drop_prob) {
     d.drop = true;
     ++drops_;
@@ -64,8 +58,7 @@ FaultPlan::Decision FaultPlan::decide(int channel, int src_proc, int dst_proc,
     d.duplicate = true;
     ++dups_;
   } else if (u < spec_.drop_prob + spec_.dup_prob + spec_.delay_prob) {
-    d.extra_delay =
-        from_us((spec_.content_keyed ? delay_u : rng_.uniform()) * spec_.max_delay_us);
+    d.extra_delay = from_us(delay_u * spec_.max_delay_us);
     ++delays_;
   } else {
     return d;

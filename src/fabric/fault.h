@@ -2,11 +2,15 @@
 //
 // A FaultPlan is the single decision point the verbs layer consults before
 // putting a control message (or a proxy FIN flag write) on the wire. Each
-// eligible message draws from one seeded xoshiro stream, so a failing
-// schedule is replayable from (spec, seed) alone. Decisions are mutually
-// exclusive per message: drop XOR duplicate XOR delay XOR clean delivery.
+// eligible message's fate is a pure hash of (seed, src, dst, channel,
+// per-stream index), so a failing schedule is replayable from (spec, seed)
+// alone and the fault pattern is a function of WHAT was sent, not of the
+// order same-virtual-time ties were popped — the property the tie-shuffle
+// race matrix (src/analysis) requires of a fault-injected workload.
+// Decisions are mutually exclusive per message: drop XOR duplicate XOR
+// delay XOR clean delivery.
 //
-// The plan is strictly pass-through when disabled: no RNG draw, no counter
+// The plan is strictly pass-through when disabled: no hashing, no counter
 // bump, no allocation — the property behind the "bit-identical virtual
 // times with faults off" guarantee.
 //
@@ -56,14 +60,11 @@ class FaultPlan {
     SimDuration extra_delay = 0;
   };
 
-  /// Draws the fate of one message. Consumes RNG only for eligible messages
-  /// of an enabled plan, keeping the schedule independent of ineligible
-  /// traffic. `src_proc` identifies the sender: with `spec.content_keyed`
-  /// the fate is a pure hash of (seed, src, dst, channel, per-stream index)
-  /// instead of the next draw of one global stream, so the fault pattern is
-  /// invariant under same-virtual-time tie reordering (see FaultSpec).
-  /// `dst_is_proxy` routes the per-destination faults_injected counter
-  /// under the destination proxy's metric prefix.
+  /// Decides the fate of one message. Only eligible messages of an enabled
+  /// plan advance their (src, dst, channel) stream index, keeping the
+  /// schedule independent of ineligible traffic. `dst_is_proxy` routes the
+  /// per-destination faults_injected counter under the destination proxy's
+  /// metric prefix.
   Decision decide(int channel, int src_proc, int dst_proc, bool dst_is_proxy);
 
   std::uint64_t faults_injected() const { return injected_.value(); }
@@ -71,11 +72,9 @@ class FaultPlan {
  private:
   machine::FaultSpec spec_;
   metrics::MetricsRegistry& reg_;
-  Rng rng_;
-  /// content_keyed mode: next per-(src,dst,channel) message index. Message
-  /// order within one such stream comes from a single sender coroutine in
-  /// program order, so the index — unlike the global draw order — does not
-  /// depend on cross-actor tie scheduling.
+  /// Next per-(src,dst,channel) message index. Message order within one
+  /// such stream comes from a single sender coroutine in program order, so
+  /// the index does not depend on cross-actor tie scheduling.
   std::map<std::array<int, 3>, std::uint64_t> stream_pos_;
   metrics::Counter injected_;  // total (also split below)
   metrics::Counter drops_;

@@ -72,17 +72,6 @@ struct FaultSpec {
   std::vector<int> channels = {2};
   bool fault_flag_writes = true;  ///< also fault proxy FIN flag writes
 
-  /// Fault-fate derivation. false (legacy): every eligible message draws
-  /// from one sequential seeded stream — replayable, but the fate each
-  /// message receives depends on the global order messages reach the wire,
-  /// so two schedules that differ only in same-virtual-time tie order get
-  /// different fault patterns. true: each message's fate is a pure hash of
-  /// (seed, src, dst, channel, per-stream index) — the fault pattern is then
-  /// a function of WHAT was sent, not of the order ties were popped, which
-  /// is what the tie-shuffle race matrix (src/analysis) requires of a
-  /// fault-injected workload. Kept opt-in so existing fault benches keep
-  /// their exact historical schedules.
-  bool content_keyed = false;
 
   // -- retransmit tuning (used by offload::Retransmitter) --------------------
   double retry_timeout_us = 60.0;  ///< first ack deadline (well above RTT)

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 #include "machine/address_space.h"
@@ -74,5 +75,10 @@ struct RtsShmMsg {
 struct FinShmMsg {
   std::uint64_t sender_req = 0;
 };
+
+/// The one payload type of kMpiChannel: every minimpi message, dispatched
+/// by MpiCtx::progress through one handler overload per alternative.
+using MpiMsg = std::variant<EagerNetMsg, RtsNetMsg, CtsNetMsg, FinNetMsg, EagerShmMsg,
+                            RtsShmMsg, FinShmMsg>;
 
 }  // namespace dpu::mpi

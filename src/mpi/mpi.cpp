@@ -47,8 +47,7 @@ CommPtr MpiWorld::create_comm(const std::vector<int>& world_ranks) {
   return comm;
 }
 
-void MpiWorld::deliver_local(int src_rank, int dst_rank, std::any body,
-                             SimDuration delay) {
+void MpiWorld::deliver_local(int src_rank, int dst_rank, MpiMsg body, SimDuration delay) {
   auto* dst = ctxs_.at(static_cast<std::size_t>(dst_rank)).get();
   auto shared = std::make_shared<std::any>(std::move(body));
   // Same-time mailbox arrivals keep a schedule-invariant order: the stamp
@@ -162,14 +161,14 @@ sim::Task<Request> MpiCtx::isend(machine::Addr buf, std::size_t len, int dst, in
     if (len <= cost.eager_threshold) {
       // Eager: one bounce-buffer copy, then the data rides the message.
       co_await eng.sleep(cost.memcpy_time(len));
-      std::any m = EagerNetMsg{env, len, read_if_backed(vctx().mem(), buf, len)};
+      std::any m = MpiMsg{EagerNetMsg{env, len, read_if_backed(vctx().mem(), buf, len)}};
       co_await vctx().post_ctrl(dst, kMpiChannel, std::move(m), len);
       req->done = true;
     } else {
       // NB: named local, not a temporary argument — GCC 12 destroys
       // non-trivial temporaries in awaited-coroutine argument lists too
       // early (see sim/task.h).
-      std::any rts = RtsNetMsg{env, len, req->id};
+      std::any rts = MpiMsg{RtsNetMsg{env, len, req->id}};
       co_await vctx().post_ctrl(dst, kMpiChannel, std::move(rts), 0);
       pending_sends_[req->id] = req;
     }
@@ -234,97 +233,99 @@ sim::Task<void> MpiCtx::start_rndv_reply(const Request& recv, std::uint64_t send
   // carrying the rkey; the sender's RDMA write will finish the job.
   auto mr = co_await reg_cache_.get(vctx(), recv->buf, recv->len);
   awaiting_fin_[recv->id] = recv;
-  std::any cts = CtsNetMsg{sender_req, recv->id, recv->buf, mr.rkey, recv->len};
+  std::any cts = MpiMsg{CtsNetMsg{sender_req, recv->id, recv->buf, mr.rkey, recv->len}};
   co_await vctx().post_ctrl(sender_world, kMpiChannel, std::move(cts), 0);
 }
 
-sim::Task<void> MpiCtx::handle_msg(verbs::CtrlMsg msg) {
-  const auto& cost = world_.spec().cost;
+Request MpiCtx::match_posted(const Envelope& env) {
+  auto it = posted_recvs_.find(key_of(env));
+  if (it == posted_recvs_.end() || it->second.empty()) return nullptr;
+  Request r = std::move(it->second.front());
+  it->second.pop_front();
+  if (it->second.empty()) posted_recvs_.erase(it);
+  return r;
+}
+
+sim::Task<void> MpiCtx::on(EagerNetMsg& eager, int src) {
   auto& eng = world_.engine();
-
-  auto match_posted = [&](const Envelope& env) -> Request {
-    auto it = posted_recvs_.find(key_of(env));
-    if (it == posted_recvs_.end() || it->second.empty()) return nullptr;
-    Request r = std::move(it->second.front());
-    it->second.pop_front();
-    if (it->second.empty()) posted_recvs_.erase(it);
-    return r;
-  };
-
-  if (auto* eager = std::any_cast<EagerNetMsg>(&msg.body)) {
-    co_await eng.sleep(from_us(cost.match_us));
-    if (Request r = match_posted(eager->env)) {
-      co_await eng.sleep(cost.memcpy_time(eager->len));
-      sim_expect(eager->len <= r->len, "eager message overflows receive buffer");
-      if (!eager->data.empty()) vctx().mem().write(r->buf, eager->data);
-      r->done = true;
-    } else {
-      unexpected_[key_of(eager->env)].push_back(Unexpected{
-          Unexpected::Type::kEagerNet, eager->env, eager->len, std::move(eager->data), 0, 0,
-          msg.src});
-    }
-  } else if (auto* rts = std::any_cast<RtsNetMsg>(&msg.body)) {
-    co_await eng.sleep(from_us(cost.match_us));
-    if (Request r = match_posted(rts->env)) {
-      sim_expect(rts->len <= r->len, "rendezvous message overflows receive buffer");
-      co_await start_rndv_reply(r, rts->sender_req, rts->env.src_world);
-    } else {
-      unexpected_[key_of(rts->env)].push_back(Unexpected{
-          Unexpected::Type::kRtsNet, rts->env, rts->len, {}, rts->sender_req, 0, msg.src});
-    }
-  } else if (auto* cts = std::any_cast<CtsNetMsg>(&msg.body)) {
-    auto it = pending_sends_.find(cts->sender_req);
-    sim_expect(it != pending_sends_.end(), "CTS for unknown send request");
-    Request send = it->second;
-    pending_sends_.erase(it);
-    // Register the source (cache-amortized) and fire the rendezvous RDMA
-    // write; its immediate acts as the receiver-side FIN.
-    auto mr = co_await reg_cache_.get(vctx(), send->buf, send->len);
-    std::any fin = FinNetMsg{cts->receiver_req};
-    auto c = co_await vctx().post_rdma_write_imm(mr.lkey, send->buf, msg.src, cts->rkey,
-                                                 cts->raddr, send->len, kMpiChannel,
-                                                 std::move(fin));
-    // The send CQE marks the request complete; the user still only observes
-    // it inside an MPI call, and the completion already pokes our activity
-    // notifier (so a sleeping wait re-polls).
-    c->subscribe([send] { send->done = true; });
-  } else if (auto* fin = std::any_cast<FinNetMsg>(&msg.body)) {
-    auto it = awaiting_fin_.find(fin->receiver_req);
-    sim_expect(it != awaiting_fin_.end(), "FIN for unknown receive request");
-    it->second->done = true;
-    awaiting_fin_.erase(it);
-  } else if (auto* eshm = std::any_cast<EagerShmMsg>(&msg.body)) {
-    co_await eng.sleep(from_us(cost.match_us));
-    if (Request r = match_posted(eshm->env)) {
-      co_await eng.sleep(cost.memcpy_time(eshm->len));
-      sim_expect(eshm->len <= r->len, "eager message overflows receive buffer");
-      if (!eshm->data.empty()) vctx().mem().write(r->buf, eshm->data);
-      r->done = true;
-    } else {
-      unexpected_[key_of(eshm->env)].push_back(Unexpected{
-          Unexpected::Type::kEagerShm, eshm->env, eshm->len, std::move(eshm->data), 0, 0,
-          -1});
-    }
-  } else if (auto* rshm = std::any_cast<RtsShmMsg>(&msg.body)) {
-    co_await eng.sleep(from_us(cost.match_us));
-    if (Request r = match_posted(rshm->env)) {
-      Unexpected u{Unexpected::Type::kRtsShm, rshm->env, rshm->len, {}, rshm->sender_req,
-                   rshm->src_addr, -1};
-      // complete_recv_from charges the copy and sends the FIN.
-      co_await complete_recv_from(u, r);
-    } else {
-      unexpected_[key_of(rshm->env)].push_back(Unexpected{
-          Unexpected::Type::kRtsShm, rshm->env, rshm->len, {}, rshm->sender_req,
-          rshm->src_addr, -1});
-    }
-  } else if (auto* fshm = std::any_cast<FinShmMsg>(&msg.body)) {
-    auto it = pending_sends_.find(fshm->sender_req);
-    sim_expect(it != pending_sends_.end(), "shm FIN for unknown send request");
-    it->second->done = true;
-    pending_sends_.erase(it);
+  co_await eng.sleep(from_us(world_.spec().cost.match_us));
+  if (Request r = match_posted(eager.env)) {
+    co_await eng.sleep(world_.spec().cost.memcpy_time(eager.len));
+    sim_expect(eager.len <= r->len, "eager message overflows receive buffer");
+    if (!eager.data.empty()) vctx().mem().write(r->buf, eager.data);
+    r->done = true;
   } else {
-    require(false, "unknown MPI wire message type");
+    unexpected_[key_of(eager.env)].push_back(Unexpected{
+        Unexpected::Type::kEagerNet, eager.env, eager.len, std::move(eager.data), 0, 0, src});
   }
+}
+
+sim::Task<void> MpiCtx::on(RtsNetMsg& rts, int src) {
+  co_await world_.engine().sleep(from_us(world_.spec().cost.match_us));
+  if (Request r = match_posted(rts.env)) {
+    sim_expect(rts.len <= r->len, "rendezvous message overflows receive buffer");
+    co_await start_rndv_reply(r, rts.sender_req, rts.env.src_world);
+  } else {
+    unexpected_[key_of(rts.env)].push_back(Unexpected{
+        Unexpected::Type::kRtsNet, rts.env, rts.len, {}, rts.sender_req, 0, src});
+  }
+}
+
+sim::Task<void> MpiCtx::on(CtsNetMsg& cts, int src) {
+  auto it = pending_sends_.find(cts.sender_req);
+  sim_expect(it != pending_sends_.end(), "CTS for unknown send request");
+  Request send = it->second;
+  pending_sends_.erase(it);
+  // Register the source (cache-amortized) and fire the rendezvous RDMA
+  // write; its immediate acts as the receiver-side FIN.
+  auto mr = co_await reg_cache_.get(vctx(), send->buf, send->len);
+  std::any fin = MpiMsg{FinNetMsg{cts.receiver_req}};
+  auto c = co_await vctx().post_rdma_write_imm(mr.lkey, send->buf, src, cts.rkey, cts.raddr,
+                                               send->len, kMpiChannel, std::move(fin));
+  // The send CQE marks the request complete; the user still only observes
+  // it inside an MPI call, and the completion already pokes our activity
+  // notifier (so a sleeping wait re-polls).
+  c->subscribe([send] { send->done = true; });
+}
+
+void MpiCtx::on(FinNetMsg& fin, int) {
+  auto it = awaiting_fin_.find(fin.receiver_req);
+  sim_expect(it != awaiting_fin_.end(), "FIN for unknown receive request");
+  it->second->done = true;
+  awaiting_fin_.erase(it);
+}
+
+sim::Task<void> MpiCtx::on(EagerShmMsg& eshm, int) {
+  auto& eng = world_.engine();
+  co_await eng.sleep(from_us(world_.spec().cost.match_us));
+  if (Request r = match_posted(eshm.env)) {
+    co_await eng.sleep(world_.spec().cost.memcpy_time(eshm.len));
+    sim_expect(eshm.len <= r->len, "eager message overflows receive buffer");
+    if (!eshm.data.empty()) vctx().mem().write(r->buf, eshm.data);
+    r->done = true;
+  } else {
+    unexpected_[key_of(eshm.env)].push_back(Unexpected{
+        Unexpected::Type::kEagerShm, eshm.env, eshm.len, std::move(eshm.data), 0, 0, -1});
+  }
+}
+
+sim::Task<void> MpiCtx::on(RtsShmMsg& rshm, int) {
+  co_await world_.engine().sleep(from_us(world_.spec().cost.match_us));
+  Unexpected u{Unexpected::Type::kRtsShm, rshm.env, rshm.len, {}, rshm.sender_req,
+               rshm.src_addr, -1};
+  if (Request r = match_posted(rshm.env)) {
+    // complete_recv_from charges the copy and sends the FIN.
+    co_await complete_recv_from(u, r);
+  } else {
+    unexpected_[key_of(rshm.env)].push_back(std::move(u));
+  }
+}
+
+void MpiCtx::on(FinShmMsg& fshm, int) {
+  auto it = pending_sends_.find(fshm.sender_req);
+  sim_expect(it != pending_sends_.end(), "shm FIN for unknown send request");
+  it->second->done = true;
+  pending_sends_.erase(it);
 }
 
 sim::Task<bool> MpiCtx::progress() {
@@ -336,7 +337,9 @@ sim::Task<bool> MpiCtx::progress() {
   // Drain arrivals.
   auto& box = vctx().inbox(kMpiChannel);
   while (auto m = box.try_recv()) {
-    co_await handle_msg(std::move(*m));
+    auto step = sim::dispatch(verbs::payload<MpiMsg>(*m, "the minimpi channel"),
+                              [this, src = m->src](auto& msg) { return on(msg, src); });
+    if (step.valid()) co_await step;
     moved = true;
   }
 

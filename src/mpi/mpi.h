@@ -139,7 +139,17 @@ class MpiCtx {
     int src_proc = -1;
   };
 
-  sim::Task<void> handle_msg(verbs::CtrlMsg msg);
+  /// Pops the first posted receive matching `env`, or nullptr.
+  Request match_posted(const Envelope& env);
+  // kMpiChannel handlers, one per MpiMsg alternative (reached through
+  // sim::dispatch); `src` is the sending proc (-1 on the shared-memory path).
+  sim::Task<void> on(EagerNetMsg& eager, int src);
+  sim::Task<void> on(RtsNetMsg& rts, int src);
+  sim::Task<void> on(CtsNetMsg& cts, int src);
+  void on(FinNetMsg& fin, int);
+  sim::Task<void> on(EagerShmMsg& eshm, int);
+  sim::Task<void> on(RtsShmMsg& rshm, int);
+  void on(FinShmMsg& fshm, int);
   sim::Task<bool> try_match_unexpected(const Request& recv);
   sim::Task<void> complete_recv_from(const Unexpected& u, const Request& recv);
   sim::Task<void> start_rndv_reply(const Request& recv, std::uint64_t sender_req,
@@ -182,7 +192,7 @@ class MpiWorld {
   CommPtr create_comm(const std::vector<int>& world_ranks);
 
   /// Intra-node (shared-memory) delivery, bypassing the NIC.
-  void deliver_local(int src_rank, int dst_rank, std::any body, SimDuration delay);
+  void deliver_local(int src_rank, int dst_rank, MpiMsg body, SimDuration delay);
 
  private:
   verbs::Runtime& rt_;

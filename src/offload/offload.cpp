@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <variant>
 
 #include "analysis/invariants.h"
 #include "common/check.h"
@@ -228,48 +229,57 @@ sim::Task<void> OffloadEndpoint::drain_liveness() {
   if (!liveness_on()) co_return;
   auto& box = vctx().inbox(kLivenessChannel);
   while (auto msg = box.try_recv()) {
-    if (auto* ack = std::any_cast<HeartbeatAckMsg>(&msg->body)) {
-      auto& m = monitor(ack->proxy);
-      ++hb_acked_;
-      auto it = m.outstanding.find(ack->seq);
-      if (it != m.outstanding.end()) {
-        const auto rtt_ns =
-            static_cast<std::uint64_t>(to_us(rt_.engine().now() - it->second) * 1000.0);
-        hb_rtt_total_ns_ += rtt_ns;
-        if (rtt_ns > hb_rtt_max_ns_.value()) hb_rtt_max_ns_.set(rtt_ns);
-        // Older unanswered probes are superseded by this reply.
-        m.outstanding.erase(m.outstanding.begin(), std::next(it));
-      }
-      // A confirmed death is terminal even if the proxy later answers (an
-      // unbounded hang that recovered): failover already committed, and the
-      // fences make any late proxy work harmless.
-      if (!m.dead) {
-        m.last_ack = rt_.engine().now();
-        if (m.suspected) {
-          m.suspected = false;
-          ++lease_reacquired_;
-        }
-      }
-    } else if (auto* sa = std::any_cast<StopAckMsg>(&msg->body)) {
-      stop_acked_.insert(sa->proxy);
-      auto& m = monitor(sa->proxy);
-      if (!m.dead) m.last_ack = rt_.engine().now();
-    } else if (auto* arr = std::any_cast<RecvArrivedMsg>(&msg->body)) {
-      ++arrivals_seen_[{arr->dst_req_id, arr->src_rank, arr->tag}];
-    } else if (auto* sd = std::any_cast<SendDeliveredMsg>(&msg->body)) {
-      ++sends_delivered_[{sd->req_id, sd->dst_rank, sd->tag}];
-    } else if (auto* dm = std::any_cast<DegradeMsg>(&msg->body)) {
-      ++certs_received_;
-      if (dm->dead_proxy >= 0 && rt_.spec().is_proxy(dm->dead_proxy)) {
-        if (dead_proxies_.insert(dm->dead_proxy).second) {
-          monitor(dm->dead_proxy).dead = true;
-        }
-      }
-      if (dm->group) pending_degrades_.push_back(*dm);
-    } else {
-      require(false, "unknown message on the liveness channel");
+    std::visit([this](auto& m) { on(m); },
+               verbs::payload<HostLivenessMsg>(*msg, "the host liveness channel"));
+  }
+}
+
+void OffloadEndpoint::on(HeartbeatAckMsg& ack) {
+  auto& m = monitor(ack.proxy);
+  ++hb_acked_;
+  auto it = m.outstanding.find(ack.seq);
+  if (it != m.outstanding.end()) {
+    const auto rtt_ns =
+        static_cast<std::uint64_t>(to_us(rt_.engine().now() - it->second) * 1000.0);
+    hb_rtt_total_ns_ += rtt_ns;
+    if (rtt_ns > hb_rtt_max_ns_.value()) hb_rtt_max_ns_.set(rtt_ns);
+    // Older unanswered probes are superseded by this reply.
+    m.outstanding.erase(m.outstanding.begin(), std::next(it));
+  }
+  // A confirmed death is terminal even if the proxy later answers (an
+  // unbounded hang that recovered): failover already committed, and the
+  // fences make any late proxy work harmless.
+  if (!m.dead) {
+    m.last_ack = rt_.engine().now();
+    if (m.suspected) {
+      m.suspected = false;
+      ++lease_reacquired_;
     }
   }
+}
+
+void OffloadEndpoint::on(StopAckMsg& sa) {
+  stop_acked_.insert(sa.proxy);
+  auto& m = monitor(sa.proxy);
+  if (!m.dead) m.last_ack = rt_.engine().now();
+}
+
+void OffloadEndpoint::on(RecvArrivedMsg& arr) {
+  ++arrivals_seen_[{arr.dst_req_id, arr.src_rank, arr.tag}];
+}
+
+void OffloadEndpoint::on(SendDeliveredMsg& sd) {
+  ++sends_delivered_[{sd.req_id, sd.dst_rank, sd.tag}];
+}
+
+void OffloadEndpoint::on(DegradeMsg& dm) {
+  ++certs_received_;
+  if (dm.dead_proxy >= 0 && rt_.spec().is_proxy(dm.dead_proxy)) {
+    if (dead_proxies_.insert(dm.dead_proxy).second) {
+      monitor(dm.dead_proxy).dead = true;
+    }
+  }
+  if (dm.group) pending_degrades_.push_back(dm);
 }
 
 sim::Task<void> OffloadEndpoint::pump_monitors() {
@@ -290,7 +300,7 @@ sim::Task<void> OffloadEndpoint::pump_monitors() {
       m.outstanding.emplace(seq, now);
       m.last_beat = now;
       ++hb_sent_;
-      std::any beat = HeartbeatMsg{rank_, seq};
+      std::any beat = ProxyLivenessMsg{HeartbeatMsg{rank_, seq}};
       co_await vctx().post_ctrl(proxy, kLivenessChannel, std::move(beat), 0);
     }
     if (!m.suspected && now - m.last_ack > from_us(f.hb_suspect_after_us)) {
@@ -368,16 +378,16 @@ sim::Task<OffloadReqPtr> OffloadEndpoint::send_offload(machine::Addr addr, std::
       const std::size_t clen =
           chunk_len(len, rt_.spec().cost.chunk_bytes, ck.index, ck.count);
       if (auto* chk = rt_.engine().checker()) chk->on_rts(rank_, dst, tag, ck.index, ck.count);
-      std::any rts = RtsProxyMsg{rank_, dst, tag, clen, info, req->flag, ck, req->cd, tenant_};
-      co_await retx_.send(ck.owner_proxy, kProxyChannel, std::move(rts), 0);
+      ProxyMsg rts = RtsProxyMsg{rank_, dst, tag, clen, info, req->flag, ck, req->cd, tenant_};
+      co_await retx_.send(ck.owner_proxy, std::move(rts), 0);
       ++ctrl_sent_;
     }
     co_return req;
   }
   // NB: named locals, not temporaries — see the GCC 12 note in sim/task.h.
   if (auto* chk = rt_.engine().checker()) chk->on_rts(rank_, dst, tag, 0, 1);
-  std::any rts = RtsProxyMsg{rank_, dst, tag, len, info, req->flag, {}, {}, tenant_};
-  co_await retx_.send(proxy, kProxyChannel, std::move(rts), 0);
+  ProxyMsg rts = RtsProxyMsg{rank_, dst, tag, len, info, req->flag, {}, {}, tenant_};
+  co_await retx_.send(proxy, std::move(rts), 0);
   ++ctrl_sent_;
   co_return req;
 }
@@ -432,16 +442,16 @@ sim::Task<OffloadReqPtr> OffloadEndpoint::recv_offload(machine::Addr addr, std::
       const std::size_t clen =
           chunk_len(len, rt_.spec().cost.chunk_bytes, ck.index, ck.count);
       if (auto* chk = rt_.engine().checker()) chk->on_rtr(src, rank_, tag, ck.index, ck.count);
-      std::any rtr = RtrProxyMsg{src,     rank_,     tag, clen,    addr + ck.offset,
+      ProxyMsg rtr = RtrProxyMsg{src,     rank_,     tag, clen,    addr + ck.offset,
                                  mr.rkey, req->flag, ck,  req->cd, tenant_};
-      co_await retx_.send(ck.owner_proxy, kProxyChannel, std::move(rtr), 0);
+      co_await retx_.send(ck.owner_proxy, std::move(rtr), 0);
       ++ctrl_sent_;
     }
     co_return req;
   }
   if (auto* chk = rt_.engine().checker()) chk->on_rtr(src, rank_, tag, 0, 1);
-  std::any rtr = RtrProxyMsg{src, rank_, tag, len, addr, mr.rkey, req->flag, {}, {}, tenant_};
-  co_await retx_.send(proxy, kProxyChannel, std::move(rtr), 0);
+  ProxyMsg rtr = RtrProxyMsg{src, rank_, tag, len, addr, mr.rkey, req->flag, {}, {}, tenant_};
+  co_await retx_.send(proxy, std::move(rtr), 0);
   ++ctrl_sent_;
   co_return req;
 }
@@ -458,12 +468,12 @@ sim::Task<void> OffloadEndpoint::degrade_basic(const OffloadReqPtr& req) {
     chk->on_basic_degraded(src, dst, req->tag);
     chk->on_degrade_cert(rank_, req->peer, req->dep_proxy);
   }
-  std::any fence = FenceBasicMsg{src, dst, req->tag};
+  std::any fence = ProxyLivenessMsg{FenceBasicMsg{src, dst, req->tag}};
   co_await vctx().post_ctrl(req->dep_proxy, kLivenessChannel, std::move(fence), 0);
   // Death certificate to the counterparty so it degrades without waiting
   // out its own detection window (both ends of a basic pair depend on the
   // same source-side proxy).
-  std::any cert = DegradeMsg{rank_, req->dep_proxy, false, {}};
+  std::any cert = HostLivenessMsg{DegradeMsg{rank_, req->dep_proxy, false, {}}};
   co_await vctx().post_ctrl(req->peer, kLivenessChannel, std::move(cert), 0);
   // Re-execute on the host-driven path, in a context no healthy minimpi
   // traffic — and no OTHER TENANT's concurrent failover — can match: the
@@ -508,9 +518,9 @@ sim::Task<bool> OffloadEndpoint::advance_striped(const OffloadReqPtr& req) {
       if (auto* chk = rt_.engine().checker()) {
         chk->on_degrade_cert(rank_, req->peer, owner);
       }
-      std::any fence = FenceBasicMsg{src, dst, req->tag};
+      std::any fence = ProxyLivenessMsg{FenceBasicMsg{src, dst, req->tag}};
       co_await vctx().post_ctrl(owner, kLivenessChannel, std::move(fence), 0);
-      std::any cert = DegradeMsg{rank_, owner, false, {}};
+      std::any cert = HostLivenessMsg{DegradeMsg{rank_, owner, false, {}}};
       co_await vctx().post_ctrl(req->peer, kLivenessChannel, std::move(cert), 0);
     }
     auto& mc = rt_.mpi_world()->ctx(rank_);
@@ -641,14 +651,14 @@ sim::Task<Status> OffloadEndpoint::finalize() {
       if (rt_.spec().multi_tenant() && !rt_.spec().proxy_serves_tenant(p, tenant_)) {
         continue;
       }
-      std::any stop = StopMsg{rank_};
-      co_await retx_.send(p, kProxyChannel, std::move(stop), 0);
+      ProxyMsg stop = StopMsg{rank_};
+      co_await retx_.send(p, std::move(stop), 0);
       ++ctrl_sent_;
     }
   }
   if (!liveness_on()) {
-    std::any stop = StopMsg{rank_};
-    co_await retx_.send(my_proxy, kProxyChannel, std::move(stop), 0);
+    ProxyMsg stop = StopMsg{rank_};
+    co_await retx_.send(my_proxy, std::move(stop), 0);
     ++ctrl_sent_;
     co_return retx_.gave_up_on(my_proxy) ? Status::kUnreachable : Status::kOk;
   }
@@ -657,8 +667,8 @@ sim::Task<Status> OffloadEndpoint::finalize() {
     // already settled (or fenced) by the failover machinery.
     co_return Status::kDegraded;
   }
-  std::any stop = StopMsg{rank_};
-  co_await retx_.send(my_proxy, kProxyChannel, std::move(stop), 0);
+  ProxyMsg stop = StopMsg{rank_};
+  co_await retx_.send(my_proxy, std::move(stop), 0);
   ++ctrl_sent_;
   // Bounded drain: wait for the proxy's application-level StopAck instead of
   // trusting it blindly. A proxy that dies mid-shutdown (or hangs past the
@@ -685,8 +695,8 @@ sim::Task<void> OffloadEndpoint::invalidate(machine::Addr addr, std::size_t len)
   (void)gvmi_cache_.evict(my_proxy, addr, len);
   (void)ib_cache_.evict(addr, len);
   // DPU-side cross-registrations of this buffer at my proxy.
-  std::any inv = InvalidateMsg{rank_, addr, len};
-  co_await retx_.send(my_proxy, kProxyChannel, std::move(inv), 0);
+  ProxyMsg inv = InvalidateMsg{rank_, addr, len};
+  co_await retx_.send(my_proxy, std::move(inv), 0);
   ++ctrl_sent_;
 }
 
@@ -803,24 +813,22 @@ sim::Task<GroupMetaMsg> OffloadEndpoint::await_meta_from(int peer) {
       co_return m;
     }
     while (auto msg = box.try_recv()) {
-      // Under faults the metadata travels in a reliable envelope (the
-      // transport acked it at delivery): drop replays, then unwrap.
-      if (auto* rel = std::any_cast<ReliableMsg>(&msg->body)) {
-        const bool fresh = dup_filter_.accept(rel->sender, rel->seq);
+      auto& wire = verbs::payload<GroupMetaWire>(*msg, "the group meta channel");
+      // Under faults the metadata is sequenced (the transport acked it at
+      // delivery): drop replays.
+      if (const SeqHeader& h = wire.hdr; h.seq != 0) {
+        const bool fresh = dup_filter_.accept(h.sender, h.seq);
         if (auto* chk = rt_.engine().checker()) {
-          chk->on_reliable_delivery(rank_, rel->sender, rel->seq, fresh);
+          chk->on_reliable_delivery(rank_, h.sender, h.seq, fresh);
         }
         if (!fresh) {
           ++dup_dropped_;
           continue;
         }
-        // `rel` points into msg->body; detach the payload before overwriting
-        // it (any::operator= destroys the old value before transferring).
-        std::any inner = std::move(rel->inner);
-        msg->body = std::move(inner);
       }
-      auto meta = std::any_cast<GroupMetaMsg>(std::move(msg->body));
-      meta_buf_[meta.from_rank].push_back(std::move(meta));
+      std::visit(
+          [this](GroupMetaMsg& meta) { meta_buf_[meta.from_rank].push_back(std::move(meta)); },
+          wire.msg);
     }
     if (!buf.empty()) continue;
     co_await vctx.activity().wait();
@@ -897,8 +905,8 @@ sim::Task<void> OffloadEndpoint::group_call(const GroupReqPtr& req) {
     // §VII-D cache hit: all metadata already lives on the proxy; send only
     // the request id.
     ++group_hits_;
-    std::any cc = GroupCachedCallMsg{rank_, req->id, req->current_flag, tenant_};
-    co_await retx_.send(my_proxy, kProxyChannel, std::move(cc), 0);
+    ProxyMsg cc = GroupCachedCallMsg{rank_, req->id, req->current_flag, tenant_};
+    co_await retx_.send(my_proxy, std::move(cc), 0);
     ++ctrl_sent_;
     co_return;
   }
@@ -935,8 +943,8 @@ sim::Task<void> OffloadEndpoint::group_call(const GroupReqPtr& req) {
   for (auto& [peer, entries] : meta_out) {
     const auto bytes =
         static_cast<std::size_t>(cost.group_entry_bytes * static_cast<double>(entries.size()));
-    std::any meta = GroupMetaMsg{rank_, req->id, std::move(entries), tenant_};
-    co_await retx_.send(peer, kGroupMetaChannel, std::move(meta), bytes);
+    GroupMetaMsg meta{rank_, req->id, std::move(entries), tenant_};
+    co_await retx_.send(peer, std::move(meta), bytes);
     ++ctrl_sent_;
   }
 
@@ -1002,8 +1010,8 @@ sim::Task<void> OffloadEndpoint::group_call(const GroupReqPtr& req) {
   // 5. One contiguous Group_Offload_packet to my proxy.
   const auto pkt_bytes =
       static_cast<std::size_t>(cost.group_entry_bytes * static_cast<double>(req->ops.size()));
-  std::any pkt = GroupPacketMsg{rank_, req->id, req->ops, req->current_flag, tenant_};
-  co_await retx_.send(my_proxy, kProxyChannel, std::move(pkt), pkt_bytes);
+  ProxyMsg pkt = GroupPacketMsg{rank_, req->id, req->ops, req->current_flag, tenant_};
+  co_await retx_.send(my_proxy, std::move(pkt), pkt_bytes);
   ++ctrl_sent_;
   if (group_cache_enabled_) req->sent_to_proxy = true;
 }
@@ -1101,7 +1109,7 @@ sim::Task<void> OffloadEndpoint::redispatch_to_sibling(const GroupReqPtr& req, i
   // The checker treats a sibling re-dispatch like a degrade: it authorizes
   // the fence on the old home (and any fenced-arrival swallows there).
   if (auto* chk = rt_.engine().checker()) chk->on_group_degraded(rank_, req->id);
-  std::any fence = FenceGroupMsg{rank_, req->id, tenant_};
+  std::any fence = ProxyLivenessMsg{FenceGroupMsg{rank_, req->id, tenant_}};
   co_await vc.post_ctrl(old, kLivenessChannel, std::move(fence), 0);
   // Re-register the send buffers against the sibling's GVMI and ship the
   // full packet — the sibling has no recorded template for this request.
@@ -1130,8 +1138,8 @@ sim::Task<void> OffloadEndpoint::redispatch_to_sibling(const GroupReqPtr& req, i
   const auto& cost = rt_.spec().cost;
   const auto pkt_bytes = static_cast<std::size_t>(
       cost.group_entry_bytes * static_cast<double>(req->ops.size()));
-  std::any pkt = GroupPacketMsg{rank_, req->id, req->ops, req->current_flag, tenant_};
-  co_await retx_.send(sib, kProxyChannel, std::move(pkt), pkt_bytes);
+  ProxyMsg pkt = GroupPacketMsg{rank_, req->id, req->ops, req->current_flag, tenant_};
+  co_await retx_.send(sib, std::move(pkt), pkt_bytes);
   ++ctrl_sent_;
   ++rt_.engine().metrics().counter("offload.failover.sibling_redispatch");
 }
@@ -1177,7 +1185,7 @@ sim::Task<void> OffloadEndpoint::degrade_group(const GroupReqPtr& req, int dead_
   // Fence whichever proxy holds (or held) my job instance, then flood the
   // certificate through the peer graph.
   const int tgt = current_target(*req);
-  std::any fence = FenceGroupMsg{rank_, req->id, tenant_};
+  std::any fence = ProxyLivenessMsg{FenceGroupMsg{rank_, req->id, tenant_}};
   co_await vctx().post_ctrl(tgt, kLivenessChannel, std::move(fence), 0);
   co_await flood_degrade(req, dead_proxy);
 }
@@ -1204,7 +1212,7 @@ sim::Task<void> OffloadEndpoint::flood_degrade(const GroupReqPtr& req, int dead_
         cert.req_ids.push_back(op.dst_req_id);
       }
     }
-    std::any body = cert;
+    std::any body = HostLivenessMsg{std::move(cert)};
     co_await vctx().post_ctrl(peer, kLivenessChannel, std::move(body), 0);
   }
 }

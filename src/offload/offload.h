@@ -200,6 +200,12 @@ class OffloadEndpoint {
   bool failover_ready() const;
   SimDuration wait_tick() const;
   sim::Task<void> drain_liveness();
+  // kLivenessChannel handlers, one per HostLivenessMsg alternative.
+  void on(HeartbeatAckMsg& ack);
+  void on(StopAckMsg& sa);
+  void on(RecvArrivedMsg& arr);
+  void on(SendDeliveredMsg& sd);
+  void on(DegradeMsg& dm);
   sim::Task<void> pump_monitors();
   sim::Task<void> apply_pending_degrades();
   sim::Task<Status> wait_many(std::vector<OffloadReqPtr> reqs);

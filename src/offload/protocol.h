@@ -1,11 +1,12 @@
 // Wire protocol between host processes and DPU proxy (worker) processes.
 //
-// Channels:
+// Channels (payload types at the end of this file):
 //   kProxyChannel     — RTS/RTR control messages, group packets, cached
 //                       calls, inter-proxy notifications (arrival imms,
 //                       barrier counters).
 //   kGroupMetaChannel — host<->host receive-buffer metadata exchange used
 //                       by Group_Offload_call's matching step (fig. 9).
+//   kLivenessChannel  — heartbeats, fences and degrade notices (fault runs).
 //
 // Completion flags: in the real system the proxy RDMA-writes a completion
 // counter into pre-registered host memory and Wait polls it. Here the
@@ -13,13 +14,13 @@
 // messages; post_flag_write models the RDMA update.
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "machine/address_space.h"
@@ -46,81 +47,13 @@ enum class [[nodiscard]] Status {
   kRejected,     ///< refused at admission: tenant over its max_inflight quota
 };
 
-/// The closed set of wire-message kinds. Every struct that travels on a
-/// channel declares `static constexpr MsgKind kKind = MsgKind::k<X>;` — the
-/// tag is what makes "wire message" machine-checkable: tools/dpulint keys
-/// its proto-field and handler-exhaustive rules off kKind (one struct per
-/// kind, a dispatch site per struct, a tenant field unless waived), so a
-/// new message kind cannot be added without either wiring it through the
-/// proxy dispatch or explicitly waiving it.
-enum class MsgKind {
-  kReliable,
-  kRtsProxy,
-  kRtrProxy,
-  kChunkWork,
-  kGroupPacket,
-  kGroupCachedCall,
-  kRecvArrived,
-  kCredit,
-  kCreditBatch,
-  kBarrierCntr,
-  kStop,
-  kInvalidate,
-  kGroupMeta,
-  kHeartbeat,
-  kHeartbeatAck,
-  kStopAck,
-  kFenceBasic,
-  kFenceGroup,
-  kDegrade,
-  kSendDelivered,
-};
-
-/// Debug/trace name for a message kind.
-constexpr const char* kind_name(MsgKind k) {
-  switch (k) {
-    case MsgKind::kReliable: return "Reliable";
-    case MsgKind::kRtsProxy: return "RtsProxy";
-    case MsgKind::kRtrProxy: return "RtrProxy";
-    case MsgKind::kChunkWork: return "ChunkWork";
-    case MsgKind::kGroupPacket: return "GroupPacket";
-    case MsgKind::kGroupCachedCall: return "GroupCachedCall";
-    case MsgKind::kRecvArrived: return "RecvArrived";
-    case MsgKind::kCredit: return "Credit";
-    case MsgKind::kCreditBatch: return "CreditBatch";
-    case MsgKind::kBarrierCntr: return "BarrierCntr";
-    case MsgKind::kStop: return "Stop";
-    case MsgKind::kInvalidate: return "Invalidate";
-    case MsgKind::kGroupMeta: return "GroupMeta";
-    case MsgKind::kHeartbeat: return "Heartbeat";
-    case MsgKind::kHeartbeatAck: return "HeartbeatAck";
-    case MsgKind::kStopAck: return "StopAck";
-    case MsgKind::kFenceBasic: return "FenceBasic";
-    case MsgKind::kFenceGroup: return "FenceGroup";
-    case MsgKind::kDegrade: return "Degrade";
-    case MsgKind::kSendDelivered: return "SendDelivered";
-  }
-  return "?";
-}
-
-/// Shared ack token for one reliable control message. The receiver marks it
-/// after the (simulated) transport-level ack latency; the sender's pending
-/// retransmit timer reads it. This models the RC QP's hardware ack without
-/// a second inbox: acks themselves are never faulted (InfiniBand loses whole
-/// packets, and the retry logic only needs "ack seen by deadline?").
-struct AckState {
-  bool acked = false;
-};
-
-/// Envelope for sequence-numbered, retransmittable control messages. Only
-/// used when fault injection is enabled; clean runs ship bare bodies.
-// lint: proto-field ok: transport envelope; the tenant rides on the inner body
-struct ReliableMsg {
-  static constexpr MsgKind kKind = MsgKind::kReliable;
-  std::uint64_t seq = 0;  ///< per-sender, starts at 1
+/// Sequencing header of the two retransmitted channels (kProxyChannel,
+/// kGroupMetaChannel). Under an active fault plan the Retransmitter stamps a
+/// per-(sender, receiver) seq starting at 1 and the receiver's DupFilter
+/// drops replays; clean runs ship `seq == 0` and skip the filter.
+struct SeqHeader {
+  std::uint64_t seq = 0;  ///< 0 = unsequenced (no fault plan)
   int sender = -1;        ///< proc id the seq space belongs to
-  std::shared_ptr<AckState> ack;
-  std::any inner;
 };
 
 /// Per-receiver duplicate suppression over (sender, seq). Seen-sets compact
@@ -178,7 +111,6 @@ struct ChunkCountdown {
 /// Ready-To-Send: host -> (its own) proxy. Carries the GVMI first
 /// registration so the proxy can cross-register.
 struct RtsProxyMsg {
-  static constexpr MsgKind kKind = MsgKind::kRtsProxy;
   int src_rank = -1;
   int dst_rank = -1;
   int tag = 0;
@@ -192,7 +124,6 @@ struct RtsProxyMsg {
 
 /// Ready-To-Receive: destination host -> the *source-side* proxy.
 struct RtrProxyMsg {
-  static constexpr MsgKind kKind = MsgKind::kRtrProxy;
   int src_rank = -1;
   int dst_rank = -1;
   int tag = 0;
@@ -232,7 +163,6 @@ struct GroupEntryWire {
 /// the segment RDMA with the delivery hook the home built, and sets `done`
 /// so the home's barrier/FIN logic observes the completion.
 struct ChunkWorkMsg {
-  static constexpr MsgKind kKind = MsgKind::kChunkWork;
   int home_proxy = -1;
   int host_rank = -1;            ///< source host whose buffer this is
   verbs::GvmiMrInfo src_info;    ///< whole-buffer registration
@@ -248,7 +178,6 @@ struct ChunkWorkMsg {
 
 /// Full group offload packet: host -> proxy (first call for a request).
 struct GroupPacketMsg {
-  static constexpr MsgKind kKind = MsgKind::kGroupPacket;
   int host_rank = -1;
   std::uint64_t req_id = 0;
   std::vector<GroupEntryWire> entries;
@@ -259,7 +188,6 @@ struct GroupPacketMsg {
 /// Cached re-invocation: host -> proxy (§VII-D; the host cache hit sends
 /// only the request id).
 struct GroupCachedCallMsg {
-  static constexpr MsgKind kKind = MsgKind::kGroupCachedCall;
   int host_rank = -1;
   std::uint64_t req_id = 0;
   verbs::Completion flag;
@@ -269,7 +197,6 @@ struct GroupCachedCallMsg {
 /// Immediate consumed by the destination-side proxy when a group send's
 /// RDMA write lands (drives receive-completion tracking and barriers).
 struct RecvArrivedMsg {
-  static constexpr MsgKind kKind = MsgKind::kRecvArrived;
   int src_rank = -1;
   int dst_rank = -1;
   int tag = 0;
@@ -287,8 +214,6 @@ struct RecvArrivedMsg {
 /// mapped host process" — without it a cached re-call could overwrite a
 /// buffer the destination proxy is still forwarding from.
 struct CreditMsg {
-  // lint: handler-exhaustive ok: credits only travel batched in CreditBatchMsg
-  static constexpr MsgKind kKind = MsgKind::kCredit;
   int src_rank = -1;  ///< sending host the credit is granted to
   int dst_rank = -1;  ///< receiving host that owns the buffer
   int tag = 0;
@@ -300,13 +225,11 @@ struct CreditMsg {
 /// O(entries)).
 // lint: proto-field ok: pure container; each inner CreditMsg carries its tenant
 struct CreditBatchMsg {
-  static constexpr MsgKind kKind = MsgKind::kCreditBatch;
   std::vector<CreditMsg> credits;
 };
 
 /// Barrier counter update between proxies (fig. 10 / Algorithm 1).
 struct BarrierCntrMsg {
-  static constexpr MsgKind kKind = MsgKind::kBarrierCntr;
   int src_rank = -1;  ///< host rank whose barrier progressed
   int dst_rank = -1;  ///< host rank whose proxy should observe it
   int count = 0;
@@ -317,7 +240,6 @@ struct BarrierCntrMsg {
 /// sent one and all queues drained, the proxy's progress loop exits.
 // lint: proto-field ok: host_rank is globally unique; the proxy derives the tenant
 struct StopMsg {
-  static constexpr MsgKind kKind = MsgKind::kStop;
   int host_rank = -1;
 };
 
@@ -325,7 +247,6 @@ struct StopMsg {
 /// coherence when the host re-purposes memory).
 // lint: proto-field ok: cache keys are (host_rank, addr); ranks are global
 struct InvalidateMsg {
-  static constexpr MsgKind kKind = MsgKind::kInvalidate;
   int host_rank = -1;
   machine::Addr addr = 0;
   std::size_t len = 0;
@@ -341,7 +262,6 @@ struct GroupRecvMeta {
 };
 
 struct GroupMetaMsg {
-  static constexpr MsgKind kKind = MsgKind::kGroupMeta;
   int from_rank = -1;  ///< the receiving host that owns these buffers
   std::uint64_t req_id = 0;  ///< the receiver's request these buffers belong to
   std::vector<GroupRecvMeta> entries;
@@ -358,7 +278,6 @@ struct GroupMetaMsg {
 /// acks, so only an application-level reply proves serviceability.
 // lint: proto-field ok: liveness plane probes a proxy, not a tenant's job
 struct HeartbeatMsg {
-  static constexpr MsgKind kKind = MsgKind::kHeartbeat;
   int from_rank = -1;
   std::uint64_t seq = 0;
 };
@@ -366,7 +285,6 @@ struct HeartbeatMsg {
 /// Proxy -> host heartbeat reply; `seq` echoes the probe (host-side RTT).
 // lint: proto-field ok: liveness plane reply; scoped by (proxy, seq) only
 struct HeartbeatAckMsg {
-  static constexpr MsgKind kKind = MsgKind::kHeartbeatAck;
   int proxy = -1;
   std::uint64_t seq = 0;
 };
@@ -375,7 +293,6 @@ struct HeartbeatAckMsg {
 /// Finalize_Offload bound its drain instead of trusting a dead proxy.
 // lint: proto-field ok: liveness plane ack; the host matches it by proxy id
 struct StopAckMsg {
-  static constexpr MsgKind kKind = MsgKind::kStopAck;
   int proxy = -1;
 };
 
@@ -385,7 +302,6 @@ struct StopAckMsg {
 /// fence stops it from re-executing the failed-over pair).
 // lint: proto-field ok: fences by (src, dst, tag); ranks are globally unique
 struct FenceBasicMsg {
-  static constexpr MsgKind kKind = MsgKind::kFenceBasic;
   int src_rank = -1;
   int dst_rank = -1;
   int tag = 0;
@@ -396,7 +312,6 @@ struct FenceBasicMsg {
 /// machinery). Fences a dead/hung proxy's partial work so a recovery can
 /// never double-execute a request the hosts already degraded.
 struct FenceGroupMsg {
-  static constexpr MsgKind kKind = MsgKind::kFenceGroup;
   int host_rank = -1;
   std::uint64_t req_id = 0;
   int tenant = 0;
@@ -413,7 +328,6 @@ struct FenceGroupMsg {
 /// affected requests (no over-degrading of unrelated concurrent groups).
 // lint: proto-field ok: host-to-host notice scoped by receiver-side req_ids
 struct DegradeMsg {
-  static constexpr MsgKind kKind = MsgKind::kDegrade;
   int from_rank = -1;
   int dead_proxy = -1;
   bool group = false;
@@ -429,11 +343,41 @@ struct DegradeMsg {
 /// skip-sets agree on the two sides.
 // lint: proto-field ok: proxy-to-source-host report keyed by the sender's req_id
 struct SendDeliveredMsg {
-  static constexpr MsgKind kKind = MsgKind::kSendDelivered;
   std::uint64_t req_id = 0;
   int dst_rank = -1;
   int tag = 0;
 };
+
+// ---------------------------------------------------------------------------
+// Channel payloads. Each receive site accepts one closed variant and
+// dispatches it with sim::dispatch, so a message without a handler is a
+// compile error. CtrlMsg::body stays a std::any (verbs sits below this
+// layer); every (channel, receiver) pair carries exactly one payload type,
+// which the receive site unwraps with verbs::payload. These aliases are
+// also what tools/dpulint's proto-field rule treats as "wire message".
+// ---------------------------------------------------------------------------
+
+/// kProxyChannel, received by a proxy.
+using ProxyMsg = std::variant<RtsProxyMsg, RtrProxyMsg, ChunkWorkMsg, GroupPacketMsg,
+                              GroupCachedCallMsg, RecvArrivedMsg, CreditBatchMsg,
+                              BarrierCntrMsg, StopMsg, InvalidateMsg>;
+/// kLivenessChannel, received by a proxy.
+using ProxyLivenessMsg = std::variant<HeartbeatMsg, FenceBasicMsg, FenceGroupMsg>;
+/// kLivenessChannel, received by a host endpoint.
+using HostLivenessMsg =
+    std::variant<HeartbeatAckMsg, StopAckMsg, RecvArrivedMsg, SendDeliveredMsg, DegradeMsg>;
+/// kGroupMetaChannel, received by a host endpoint.
+using GroupMetaChannelMsg = std::variant<GroupMetaMsg>;
+
+/// Payload of a retransmitted channel: the message plus its sequencing
+/// header.
+template <typename Msg>
+struct Sequenced {
+  SeqHeader hdr;
+  Msg msg;
+};
+using ProxyWire = Sequenced<ProxyMsg>;
+using GroupMetaWire = Sequenced<GroupMetaChannelMsg>;
 
 /// MPI context ids used by the failover replay so degraded traffic can
 /// never match healthy minimpi traffic (communicators use non-negative

@@ -204,6 +204,12 @@ sim::Task<void> Proxy::run() {
     if (co_await process_chunk_work()) moved = true;
     if (co_await harvest_fins()) moved = true;
     if (co_await advance_jobs()) moved = true;
+    while (!acked_credits_.empty()) {
+      auto batches = std::move(acked_credits_.front());
+      acked_credits_.pop_front();
+      co_await send_credits(std::move(batches));
+      moved = true;
+    }
     if (stops_received_ >= want_stops && jobs_.empty() && combined_.empty() &&
         chunk_work_.empty() && fins_.empty() && box.empty()) {
       co_return;  // Finalize_Offload: all mapped hosts done, queues drained
@@ -218,144 +224,167 @@ sim::Task<void> Proxy::run() {
 
 sim::Task<void> Proxy::handle_liveness(verbs::CtrlMsg msg) {
   co_await charge_entry();
-  if (auto* hb = std::any_cast<HeartbeatMsg>(&msg.body)) {
-    ++hb_replies_;
-    std::any ack = HeartbeatAckMsg{proc_, hb->seq};
-    co_await vctx().post_ctrl(hb->from_rank, kLivenessChannel, std::move(ack), 0);
-  } else if (auto* fb = std::any_cast<FenceBasicMsg>(&msg.body)) {
-    if (auto* chk = rt_.engine().checker()) {
-      chk->on_fence_basic(proc_, fb->src_rank, fb->dst_rank, fb->tag);
+  auto step = sim::dispatch(verbs::payload<ProxyLivenessMsg>(msg, "the proxy liveness channel"),
+                            [this](auto& m) { return on(m); });
+  if (step.valid()) co_await step;
+}
+
+sim::Task<void> Proxy::on(HeartbeatMsg& hb) {
+  ++hb_replies_;
+  std::any ack = HostLivenessMsg{HeartbeatAckMsg{proc_, hb.seq}};
+  co_await vctx().post_ctrl(hb.from_rank, kLivenessChannel, std::move(ack), 0);
+}
+
+void Proxy::on(FenceBasicMsg& fb) {
+  if (auto* chk = rt_.engine().checker()) {
+    chk->on_fence_basic(proc_, fb.src_rank, fb.dst_rank, fb.tag);
+  }
+  (void)queues_.erase_pair(fb.src_rank, fb.dst_rank, fb.tag);
+  for (auto it = combined_.begin(); it != combined_.end();) {
+    if (it->rts.src_rank == fb.src_rank && it->rts.dst_rank == fb.dst_rank &&
+        it->rts.tag == fb.tag) {
+      it = combined_.erase(it);
+    } else {
+      ++it;
     }
-    (void)queues_.erase_pair(fb->src_rank, fb->dst_rank, fb->tag);
-    for (auto it = combined_.begin(); it != combined_.end();) {
-      if (it->rts.src_rank == fb->src_rank && it->rts.dst_rank == fb->dst_rank &&
-          it->rts.tag == fb->tag) {
-        it = combined_.erase(it);
-      } else {
-        ++it;
-      }
+  }
+}
+
+void Proxy::on(FenceGroupMsg& fg) {
+  if (auto* chk = rt_.engine().checker()) {
+    chk->on_fence_group(proc_, fg.host_rank, fg.req_id);
+  }
+  fenced_.insert({fg.tenant, fg.host_rank, fg.req_id});
+  ++fenced_jobs_;
+  for (auto it = jobs_.begin(); it != jobs_.end();) {
+    if ((*it)->host_rank == fg.host_rank && (*it)->req_id == fg.req_id) {
+      it = jobs_.erase(it);
+    } else {
+      ++it;
     }
-  } else if (auto* fg = std::any_cast<FenceGroupMsg>(&msg.body)) {
-    if (auto* chk = rt_.engine().checker()) {
-      chk->on_fence_group(proc_, fg->host_rank, fg->req_id);
+  }
+  for (auto it = pending_arrivals_.begin(); it != pending_arrivals_.end();) {
+    if (it->dst_rank == fg.host_rank && it->dst_req_id == fg.req_id) {
+      it = pending_arrivals_.erase(it);
+    } else {
+      ++it;
     }
-    fenced_.insert({fg->tenant, fg->host_rank, fg->req_id});
-    ++fenced_jobs_;
-    for (auto it = jobs_.begin(); it != jobs_.end();) {
-      if ((*it)->host_rank == fg->host_rank && (*it)->req_id == fg->req_id) {
-        it = jobs_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto it = pending_arrivals_.begin(); it != pending_arrivals_.end();) {
-      if (it->dst_rank == fg->host_rank && it->dst_req_id == fg->req_id) {
-        it = pending_arrivals_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  } else {
-    require(false, "unknown liveness message at proxy");
   }
 }
 
 sim::Task<void> Proxy::handle(verbs::CtrlMsg msg) {
   co_await charge_entry();
-  // Under faults every retransmittable message arrives in a reliable
-  // envelope; the transport acked each delivered copy already, so here we
-  // only drop replays, then dispatch the inner body as usual.
-  if (auto* rel = std::any_cast<ReliableMsg>(&msg.body)) {
+  auto& wire = verbs::payload<ProxyWire>(msg, "the proxy channel");
+  // Under faults every message carries a sequence number; the transport
+  // acked each delivered copy already, so here we only drop replays.
+  if (const SeqHeader& h = wire.hdr; h.seq != 0) {
     // A finalized host's dup-filter window was pruned; its seq space is
     // dead. Any straggler (a delayed duplicate the retransmitter already
     // covered) is dropped wholesale — re-running accept() would wrongly
     // re-admit it as fresh against the reset window.
-    if (!finalized_hosts_.empty() && finalized_hosts_.count(rel->sender) > 0) {
+    if (!finalized_hosts_.empty() && finalized_hosts_.count(h.sender) > 0) {
       co_return;
     }
-    const bool fresh = dup_filter_.accept(rel->sender, rel->seq);
+    const bool fresh = dup_filter_.accept(h.sender, h.seq);
     if (auto* chk = rt_.engine().checker()) {
-      chk->on_reliable_delivery(proc_, rel->sender, rel->seq, fresh);
+      chk->on_reliable_delivery(proc_, h.sender, h.seq, fresh);
     }
     if (!fresh) {
       ++dup_dropped_;
       co_return;
     }
-    // `rel` points into msg.body; detach the payload before overwriting it
-    // (any::operator= destroys the old value before transferring).
-    std::any inner = std::move(rel->inner);
-    msg.body = std::move(inner);
   }
-  if (auto* rts = std::any_cast<RtsProxyMsg>(&msg.body)) {
-    if (auto rtr = queues_.on_rts(*rts)) {
-      if (auto* chk = rt_.engine().checker()) {
-        chk->on_pair_matched(proc_, rts->src_rank, rts->dst_rank, rts->tag, rts->chunk.index);
+  auto step = sim::dispatch(wire.msg, [this, at = msg.delivered_at](auto& m) {
+    return on(m, at);
+  });
+  if (step.valid()) co_await step;
+}
+
+void Proxy::on(RtsProxyMsg& rts, SimTime) {
+  if (auto rtr = queues_.on_rts(rts)) {
+    if (auto* chk = rt_.engine().checker()) {
+      chk->on_pair_matched(proc_, rts.src_rank, rts.dst_rank, rts.tag, rts.chunk.index);
+    }
+    combined_.push_back(BasicPair{rts, std::move(*rtr)});
+  }
+}
+
+void Proxy::on(RtrProxyMsg& rtr, SimTime) {
+  if (auto rts = queues_.on_rtr(rtr)) {
+    if (auto* chk = rt_.engine().checker()) {
+      chk->on_pair_matched(proc_, rtr.src_rank, rtr.dst_rank, rtr.tag, rtr.chunk.index);
+    }
+    combined_.push_back(BasicPair{std::move(*rts), rtr});
+  }
+}
+
+void Proxy::on(GroupPacketMsg& pkt, SimTime delivered_at) {
+  // First call for this request: build (or replace) the template, then
+  // start an instance.
+  ++tmpl_misses_;
+  auto tmpl = std::make_shared<JobTemplate>();
+  tmpl->entries = std::move(pkt.entries);
+  tmpl->mkey2.assign(tmpl->entries.size(), 0);
+  auto& slot = templates_[{pkt.tenant, pkt.host_rank, pkt.req_id}];
+  // A re-recorded request (host cache disabled or invalidated) is still
+  // the same request: its run count — and with it the credit gating of
+  // every run after the first — must survive the template swap.
+  if (slot) tmpl->runs = slot->runs;
+  slot = std::move(tmpl);
+  start_instance(pkt.tenant, pkt.host_rank, pkt.req_id, pkt.flag, delivered_at);
+}
+
+void Proxy::on(GroupCachedCallMsg& cc, SimTime delivered_at) {
+  ++tmpl_hits_;
+  start_instance(cc.tenant, cc.host_rank, cc.req_id, cc.flag, delivered_at);
+}
+
+void Proxy::on(RecvArrivedMsg& arr, SimTime) {
+  if (!match_arrival(arr)) pending_arrivals_.push_back(arr);
+}
+
+void Proxy::on(CreditBatchMsg& cb, SimTime) {
+  for (const auto& cr : cb.credits) {
+    ++credits_[{cr.tenant, cr.src_rank, cr.dst_rank, cr.tag}];
+  }
+}
+
+void Proxy::on(BarrierCntrMsg& bc, SimTime) {
+  auto& slot = barrier_counters_[{bc.tenant, bc.src_rank}];
+  slot = std::max(slot, bc.count);
+}
+
+sim::Task<void> Proxy::on(StopMsg& stop, SimTime) {
+  if (finalized_hosts_.insert(stop.host_rank).second) {
+    ++stops_received_;
+    prune_host_state(stop.host_rank);
+  }
+  if (rt_.spec().fault.liveness_enabled()) {
+    // Liveness runs close the Finalize handshake explicitly, so a host
+    // can bound its drain instead of trusting the proxy to be alive.
+    std::any ack = HostLivenessMsg{StopAckMsg{proc_}};
+    co_await vctx().post_ctrl(stop.host_rank, kLivenessChannel, std::move(ack), 0);
+  }
+}
+
+void Proxy::on(ChunkWorkMsg& cw, SimTime) {
+  // Delegated striped segment from the node's home proxy; queue it for the
+  // cap-bounded issue loop.
+  chunk_work_.push_back(std::move(cw));
+}
+
+void Proxy::on(InvalidateMsg& inv, SimTime) {
+  // Cache coherence: drop the cross-registration and un-memoize it from
+  // every cached template of that host.
+  (void)gvmi_cache_.evict(inv.host_rank, inv.addr, inv.len);
+  for (auto& [key, tmpl] : templates_) {
+    if (std::get<1>(key) != inv.host_rank) continue;
+    for (std::size_t i = 0; i < tmpl->entries.size(); ++i) {
+      const auto& e = tmpl->entries[i];
+      if (e.type == GopType::kSend && e.src_addr == inv.addr && e.len == inv.len) {
+        tmpl->mkey2[i] = 0;
       }
-      combined_.push_back(BasicPair{*rts, std::move(*rtr)});
     }
-  } else if (auto* rtr = std::any_cast<RtrProxyMsg>(&msg.body)) {
-    if (auto rts = queues_.on_rtr(*rtr)) {
-      if (auto* chk = rt_.engine().checker()) {
-        chk->on_pair_matched(proc_, rtr->src_rank, rtr->dst_rank, rtr->tag, rtr->chunk.index);
-      }
-      combined_.push_back(BasicPair{std::move(*rts), *rtr});
-    }
-  } else if (auto* pkt = std::any_cast<GroupPacketMsg>(&msg.body)) {
-    // First call for this request: build (or replace) the template, then
-    // start an instance.
-    ++tmpl_misses_;
-    auto tmpl = std::make_shared<JobTemplate>();
-    tmpl->entries = std::move(pkt->entries);
-    tmpl->mkey2.assign(tmpl->entries.size(), 0);
-    auto& slot = templates_[{pkt->tenant, pkt->host_rank, pkt->req_id}];
-    // A re-recorded request (host cache disabled or invalidated) is still
-    // the same request: its run count — and with it the credit gating of
-    // every run after the first — must survive the template swap.
-    if (slot) tmpl->runs = slot->runs;
-    slot = std::move(tmpl);
-    start_instance(pkt->tenant, pkt->host_rank, pkt->req_id, pkt->flag, msg.delivered_at);
-  } else if (auto* cc = std::any_cast<GroupCachedCallMsg>(&msg.body)) {
-    ++tmpl_hits_;
-    start_instance(cc->tenant, cc->host_rank, cc->req_id, cc->flag, msg.delivered_at);
-  } else if (auto* arr = std::any_cast<RecvArrivedMsg>(&msg.body)) {
-    if (!match_arrival(*arr)) pending_arrivals_.push_back(*arr);
-  } else if (auto* cb = std::any_cast<CreditBatchMsg>(&msg.body)) {
-    for (const auto& cr : cb->credits) {
-      ++credits_[{cr.tenant, cr.src_rank, cr.dst_rank, cr.tag}];
-    }
-  } else if (auto* bc = std::any_cast<BarrierCntrMsg>(&msg.body)) {
-    auto& slot = barrier_counters_[{bc->tenant, bc->src_rank}];
-    slot = std::max(slot, bc->count);
-  } else if (auto* stop = std::any_cast<StopMsg>(&msg.body)) {
-    if (finalized_hosts_.insert(stop->host_rank).second) {
-      ++stops_received_;
-      prune_host_state(stop->host_rank);
-    }
-    if (rt_.spec().fault.liveness_enabled()) {
-      // Liveness runs close the Finalize handshake explicitly, so a host
-      // can bound its drain instead of trusting the proxy to be alive.
-      std::any ack = StopAckMsg{proc_};
-      co_await vctx().post_ctrl(stop->host_rank, kLivenessChannel, std::move(ack), 0);
-    }
-  } else if (auto* cw = std::any_cast<ChunkWorkMsg>(&msg.body)) {
-    // Delegated striped segment from the node's home proxy; queue it for the
-    // cap-bounded issue loop.
-    chunk_work_.push_back(std::move(*cw));
-  } else if (auto* inv = std::any_cast<InvalidateMsg>(&msg.body)) {
-    // Cache coherence: drop the cross-registration and un-memoize it from
-    // every cached template of that host.
-    (void)gvmi_cache_.evict(inv->host_rank, inv->addr, inv->len);
-    for (auto& [key, tmpl] : templates_) {
-      if (std::get<1>(key) != inv->host_rank) continue;
-      for (std::size_t i = 0; i < tmpl->entries.size(); ++i) {
-        const auto& e = tmpl->entries[i];
-        if (e.type == GopType::kSend && e.src_addr == inv->addr && e.len == inv->len) {
-          tmpl->mkey2[i] = 0;
-        }
-      }
-    }
-  } else {
-    require(false, "unknown proxy control message");
   }
 }
 
@@ -553,8 +582,7 @@ std::function<void()> Proxy::make_group_send_hook(const JobInstance& job,
   // reliable ctrl message fired at delivery time — an immediate lost with
   // its carrier has no hardware retry of its own.
   std::function<void()> imm_hook = retx_.make_hook(
-      dst_proxy, kProxyChannel,
-      RecvArrivedMsg{job.host_rank, e.peer, e.tag, e.dst_req_id, job.tenant});
+      dst_proxy, RecvArrivedMsg{job.host_rank, e.peer, e.tag, e.dst_req_id, job.tenant});
   if (rt_.spec().fault.liveness_enabled()) {
     // Liveness runs also notify BOTH hosts at delivery time (NIC events, so
     // they fire even if this proxy has died by then): the receiver learns
@@ -563,8 +591,9 @@ std::function<void()> Proxy::make_group_send_hook(const JobInstance& job,
     // delivery event, the two ends' failover skip-sets always agree — the
     // property that makes the host replay free of duplicate delivery.
     auto* pctx = &vctx();
-    const RecvArrivedMsg arr{job.host_rank, e.peer, e.tag, e.dst_req_id, job.tenant};
-    const SendDeliveredMsg sd{job.req_id, e.peer, e.tag};
+    const std::any arr =
+        HostLivenessMsg{RecvArrivedMsg{job.host_rank, e.peer, e.tag, e.dst_req_id, job.tenant}};
+    const std::any sd = HostLivenessMsg{SendDeliveredMsg{job.req_id, e.peer, e.tag}};
     const int src_host = job.host_rank;
     const int dst_host = e.peer;
     std::function<void()> inner = std::move(imm_hook);
@@ -573,8 +602,8 @@ std::function<void()> Proxy::make_group_send_hook(const JobInstance& job,
       // lint: raw-post ok: liveness notices model NIC-generated events that
       // must fire even after this proxy dies; routing them through the
       // retransmitter would tie their delivery to proxy-CPU liveness.
-      pctx->post_ctrl_raw(dst_host, kLivenessChannel, std::any(arr), 0);
-      pctx->post_ctrl_raw(src_host, kLivenessChannel, std::any(sd), 0);
+      pctx->post_ctrl_raw(dst_host, kLivenessChannel, arr, 0);
+      pctx->post_ctrl_raw(src_host, kLivenessChannel, sd, 0);
     };
   }
   return imm_hook;
@@ -604,8 +633,8 @@ sim::Task<void> Proxy::post_group_send(JobInstance& job, std::size_t idx) {
     w.done = done;
     job.state[idx].posted = true;
     job.state[idx].completion = std::move(done);
-    std::any body = std::move(w);
-    co_await retx_.send(e.chunk.owner_proxy, kProxyChannel, std::move(body), 64);
+    ProxyMsg body = std::move(w);
+    co_await retx_.send(e.chunk.owner_proxy, std::move(body), 64);
     co_return;
   }
   if (tmpl.mkey2[idx] == 0) {
@@ -680,9 +709,8 @@ sim::Task<bool> Proxy::advance_one(JobInstance& job) {
       if (!job.send_rank_set.empty()) {
         ++job.num_barriers;
         for (int dst : job.send_rank_set) {
-          std::any bc = BarrierCntrMsg{job.host_rank, dst, job.num_barriers, job.tenant};
-          co_await retx_.send(rt_.spec().proxy_for_host(dst), kProxyChannel,
-                              std::move(bc), 0);
+          ProxyMsg bc = BarrierCntrMsg{job.host_rank, dst, job.num_barriers, job.tenant};
+          co_await retx_.send(rt_.spec().proxy_for_host(dst), std::move(bc), 0);
           ++barrier_msgs_;
         }
         job.send_rank_set.clear();
@@ -711,7 +739,7 @@ sim::Task<bool> Proxy::advance_one(JobInstance& job) {
     if (auto* chk = rt_.engine().checker()) {
       chk->on_group_fin(proc_, job.host_rank, job.req_id, job.flag);
     }
-    co_await retx_.flag_write(job.host_rank, job.flag, job.host_rank);
+    job.fin_ack = co_await retx_.flag_write(job.host_rank, job.flag, job.host_rank);
     job.fin_sent = true;
     ++jobs_done_;
     moved = true;
@@ -722,20 +750,37 @@ sim::Task<bool> Proxy::advance_one(JobInstance& job) {
 sim::Task<void> Proxy::grant_credits(const JobInstance& job) {
   // Receive-readiness credits for the NEXT run of this request, batched per
   // source-side proxy (the fig. 10 counter exchange). Granted when this
-  // instance finished using the buffers — recorded group buffers behave
-  // like MPI persistent requests: they stay "posted" across calls, so the
-  // sender's next run may target them as soon as this run is done with
-  // them, without waiting for the destination host's next group_call.
+  // instance finished using the buffers and its host saw the FIN — recorded
+  // group buffers behave like MPI persistent requests: they stay "posted"
+  // across calls, so the sender's next run may target them as soon as this
+  // run is done with them, without waiting for the destination host's next
+  // group_call.
   std::map<int, CreditBatchMsg> batches;
   for (const auto& e : job.tmpl->entries) {
     if (e.type != GopType::kRecv) continue;
     batches[rt_.spec().proxy_for_host(e.peer)].credits.push_back(
         CreditMsg{e.peer, job.host_rank, e.tag, job.tenant});
   }
+  if (job.fin_ack && !job.fin_ack->acked) {
+    // Fault runs: the FIN may be lost and still in retransmission, so the
+    // host has not seen this run complete. Granting now would let the
+    // sender's next run overwrite data the host has not read yet; grant
+    // when the FIN's ack lands instead.
+    auto owed = std::make_shared<std::map<int, CreditBatchMsg>>(std::move(batches));
+    job.fin_ack->on_ack = [this, owed] {
+      acked_credits_.push_back(std::move(*owed));
+      vctx().activity().notify_all();
+    };
+    co_return;
+  }
+  co_await send_credits(std::move(batches));
+}
+
+sim::Task<void> Proxy::send_credits(std::map<int, CreditBatchMsg> batches) {
   for (auto& [proxy, batch] : batches) {
     const auto bytes = batch.credits.size() * 12;
-    std::any body = std::move(batch);
-    co_await retx_.send(proxy, kProxyChannel, std::move(body), bytes);
+    ProxyMsg body = std::move(batch);
+    co_await retx_.send(proxy, std::move(body), bytes);
   }
 }
 

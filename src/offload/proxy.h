@@ -133,6 +133,7 @@ class Proxy {
     int num_barriers = 0;
     verbs::Completion flag;         // host completion counter
     bool fin_sent = false;
+    std::shared_ptr<AckState> fin_ack;  // FIN flag-write ack (fault runs only)
   };
 
   struct BasicPair {
@@ -153,6 +154,22 @@ class Proxy {
 
   sim::Task<void> handle(verbs::CtrlMsg msg);
   sim::Task<void> handle_liveness(verbs::CtrlMsg msg);
+  // kProxyChannel handlers, one per ProxyMsg alternative (reached through
+  // sim::dispatch); the SimTime is the message's inbox delivery time.
+  void on(RtsProxyMsg& rts, SimTime);
+  void on(RtrProxyMsg& rtr, SimTime);
+  void on(ChunkWorkMsg& cw, SimTime);
+  void on(GroupPacketMsg& pkt, SimTime delivered_at);
+  void on(GroupCachedCallMsg& cc, SimTime delivered_at);
+  void on(RecvArrivedMsg& arr, SimTime);
+  void on(CreditBatchMsg& cb, SimTime);
+  void on(BarrierCntrMsg& bc, SimTime);
+  sim::Task<void> on(StopMsg& stop, SimTime);
+  void on(InvalidateMsg& inv, SimTime);
+  // kLivenessChannel handlers, one per ProxyLivenessMsg alternative.
+  sim::Task<void> on(HeartbeatMsg& hb);
+  void on(FenceBasicMsg& fb);
+  void on(FenceGroupMsg& fg);
   sim::Task<bool> process_combined();
   sim::Task<bool> process_chunk_work();
   sim::Task<bool> harvest_fins();
@@ -169,6 +186,7 @@ class Proxy {
   /// no FP), then the canonical (arrived_at, host, req) order.
   bool dwfq_before(const JobInstance& a, const JobInstance& b) const;
   sim::Task<void> grant_credits(const JobInstance& job);
+  sim::Task<void> send_credits(std::map<int, CreditBatchMsg> batches);
   bool match_arrival(const RecvArrivedMsg& a);
   bool at_chunk_cap() const;
   void note_chunk_issued();
@@ -195,6 +213,9 @@ class Proxy {
   std::map<std::pair<int, int>, int> barrier_counters_;  // (tenant, host) -> count
   /// (tenant, src host, dst host, tag) -> receive-readiness credits.
   std::map<std::tuple<int, int, int, int>, int> credits_;
+  /// Fault runs: credit batches (per source-side proxy) of jobs whose FIN
+  /// was acked after the job finished; the loop sends them.
+  std::deque<std::map<int, CreditBatchMsg>> acked_credits_;
 
   int stops_received_ = 0;
   bool crashed_ = false;

@@ -12,15 +12,9 @@ Retransmitter::Retransmitter(verbs::ProcCtx& ctx) : ctx_(ctx) {}
 
 bool Retransmitter::enabled() const { return ctx_.runtime().fault().enabled(); }
 
-ReliableMsg Retransmitter::wrap(int dst_proc, std::any body) {
-  auto& n = next_seq_[dst_proc];
-  if (n == 0) n = 1;
-  ReliableMsg env;
-  env.seq = n++;
-  env.sender = ctx_.proc();
-  env.ack = std::make_shared<AckState>();
-  env.inner = std::move(body);
-  return env;
+SeqHeader Retransmitter::stamp(int dst_proc) {
+  if (!enabled()) return {};
+  return SeqHeader{++next_seq_[dst_proc], ctx_.proc()};
 }
 
 SimDuration Retransmitter::ack_latency(int peer_proc) const {
@@ -35,16 +29,19 @@ std::function<void()> Retransmitter::ack_return(int peer_proc,
   auto* eng = &ctx_.engine();
   const SimDuration lat = ack_latency(peer_proc);
   return [eng, lat, ack] {
-    eng->schedule_in(lat, [ack] { ack->acked = true; });
+    eng->schedule_in(lat, [ack] {
+      if (ack->acked) return;
+      ack->acked = true;
+      if (ack->on_ack) ack->on_ack();
+    });
   };
 }
 
-void Retransmitter::resend(Pending& p) {
+void Retransmitter::post_copy(Pending& p) {
   if (p.is_flag) {
     ctx_.post_flag_write_raw(p.dst, p.flag, p.wake, ack_return(p.dst, p.ack));
   } else {
-    ctx_.post_ctrl_raw(p.dst, p.channel, std::any(p.env), p.wire_bytes,
-                       ack_return(p.dst, p.ack));
+    ctx_.post_ctrl_raw(p.dst, p.channel, p.wire, p.wire_bytes, ack_return(p.dst, p.ack));
   }
 }
 
@@ -67,64 +64,66 @@ void Retransmitter::arm(std::shared_ptr<Pending> p) {
       return;
     }
     ++self->retries_;
-    self->resend(*p);
+    self->post_copy(*p);
     p->timeout = from_us(
         std::min(to_us(p->timeout) * f.retry_backoff, f.retry_max_timeout_us));
     self->arm(p);
   });
 }
 
-sim::Task<void> Retransmitter::send(int dst_proc, int channel, std::any body,
-                                    std::size_t wire_bytes) {
+sim::Task<void> Retransmitter::send(int dst_proc, ProxyMsg msg, std::size_t wire_bytes) {
+  return transmit(dst_proc, kProxyChannel, ProxyWire{stamp(dst_proc), std::move(msg)},
+                  wire_bytes);
+}
+
+sim::Task<void> Retransmitter::send(int dst_proc, GroupMetaMsg msg, std::size_t wire_bytes) {
+  return transmit(dst_proc, kGroupMetaChannel,
+                  GroupMetaWire{stamp(dst_proc), std::move(msg)}, wire_bytes);
+}
+
+sim::Task<void> Retransmitter::transmit(int dst_proc, int channel, std::any wire,
+                                        std::size_t wire_bytes) {
   if (!enabled()) {
-    co_await ctx_.post_ctrl(dst_proc, channel, std::move(body), wire_bytes);
+    co_await ctx_.post_ctrl(dst_proc, channel, std::move(wire), wire_bytes);
     co_return;
   }
-  auto p = std::make_shared<Pending>();
-  p->dst = dst_proc;
-  p->channel = channel;
-  p->wire_bytes = wire_bytes;
-  p->env = wrap(dst_proc, std::move(body));
-  p->ack = p->env.ack;
-  p->timeout = from_us(ctx_.runtime().spec().fault.retry_timeout_us);
   // Same CPU charge as post_ctrl, but the wire stage carries the ack hook.
   const auto& spec = ctx_.runtime().spec();
   co_await ctx_.engine().sleep(spec.cost.post_overhead(spec.core_kind(ctx_.proc())));
-  ctx_.post_ctrl_raw(dst_proc, channel, std::any(p->env), wire_bytes,
-                     ack_return(dst_proc, p->ack));
-  arm(p);
+  transmit_raw(dst_proc, channel, std::move(wire), wire_bytes);
 }
 
-void Retransmitter::send_raw(int dst_proc, int channel, std::any body,
-                             std::size_t wire_bytes) {
-  require(enabled(), "send_raw is only reachable under an active fault plan");
+void Retransmitter::transmit_raw(int dst_proc, int channel, std::any wire,
+                                 std::size_t wire_bytes) {
+  require(enabled(), "transmit_raw is only reachable under an active fault plan");
   auto p = std::make_shared<Pending>();
   p->dst = dst_proc;
   p->channel = channel;
   p->wire_bytes = wire_bytes;
-  p->env = wrap(dst_proc, std::move(body));
-  p->ack = p->env.ack;
+  p->wire = std::move(wire);
+  p->ack = std::make_shared<AckState>();
   p->timeout = from_us(ctx_.runtime().spec().fault.retry_timeout_us);
-  ctx_.post_ctrl_raw(dst_proc, channel, std::any(p->env), wire_bytes,
-                     ack_return(dst_proc, p->ack));
+  post_copy(*p);
   arm(p);
 }
 
-std::function<void()> Retransmitter::make_hook(int dst_proc, int channel,
-                                               std::any body) {
-  if (!enabled()) return ctx_.make_imm_hook(dst_proc, channel, std::move(body));
+std::function<void()> Retransmitter::make_hook(int dst_proc, ProxyMsg msg) {
+  if (!enabled()) {
+    return ctx_.make_imm_hook(dst_proc, kProxyChannel, ProxyWire{{}, std::move(msg)});
+  }
   auto* self = this;
-  auto b = std::make_shared<std::any>(std::move(body));
-  return [self, dst_proc, channel, b] {
-    self->send_raw(dst_proc, channel, std::any(*b), 0);
+  auto m = std::make_shared<ProxyMsg>(std::move(msg));
+  return [self, dst_proc, m] {
+    self->transmit_raw(dst_proc, kProxyChannel, ProxyWire{self->stamp(dst_proc), *m}, 0);
   };
 }
 
-sim::Task<void> Retransmitter::flag_write(int dst_proc, verbs::Completion flag,
-                                          int wake_proc) {
+sim::Task<std::shared_ptr<AckState>> Retransmitter::flag_write(int dst_proc,
+                                                                verbs::Completion flag,
+                                                                int wake_proc) {
   if (!enabled()) {
     co_await ctx_.post_flag_write(dst_proc, std::move(flag), wake_proc);
-    co_return;
+    co_return nullptr;
   }
   const auto& spec = ctx_.runtime().spec();
   co_await ctx_.engine().sleep(spec.cost.post_overhead(spec.core_kind(ctx_.proc())));
@@ -135,8 +134,9 @@ sim::Task<void> Retransmitter::flag_write(int dst_proc, verbs::Completion flag,
   p->wake = wake_proc;
   p->ack = std::make_shared<AckState>();
   p->timeout = from_us(spec.fault.retry_timeout_us);
-  ctx_.post_flag_write_raw(p->dst, p->flag, p->wake, ack_return(p->dst, p->ack));
+  post_copy(*p);
   arm(p);
+  co_return p->ack;
 }
 
 }  // namespace dpu::offload

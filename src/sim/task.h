@@ -26,7 +26,9 @@
 
 #include <coroutine>
 #include <exception>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "common/check.h"
 
@@ -136,5 +138,28 @@ struct TaskPromise<void> : TaskPromiseBase {
 };
 
 }  // namespace detail
+
+/// Runs the handler for the active alternative of the variant `msg`: `on(m)`
+/// either handles the message inline (returns void) or returns the
+/// not-yet-started Task that handles it. The result is that Task, or an
+/// empty one when the handler already finished; bind it to a named local
+/// and co_await it only when valid() (pitfall 1 above). An alternative with
+/// no matching `on` overload fails to compile — that is the exhaustiveness
+/// check. Deliberately not a coroutine, and `on` must not be a coroutine
+/// lambda (pitfall 3): a message whose handler never suspends costs no
+/// coroutine frame.
+template <typename Variant, typename Handler>
+Task<void> dispatch(Variant& msg, Handler&& on) {
+  return std::visit(
+      [&on](auto& m) -> Task<void> {
+        if constexpr (std::is_void_v<decltype(on(m))>) {
+          on(m);
+          return {};
+        } else {
+          return on(m);
+        }
+      },
+      msg);
+}
 
 }  // namespace dpu::sim

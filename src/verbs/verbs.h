@@ -26,9 +26,11 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/check.h"
 #include "fabric/fabric.h"
 #include "fabric/fault.h"
 #include "machine/address_space.h"
@@ -79,6 +81,19 @@ struct CtrlMsg {
   /// Virtual time the message landed in the inbox (set at delivery).
   SimTime delivered_at = 0;
 };
+
+/// The body of `msg` as T. Every (channel, receiver) pair carries exactly
+/// one payload type, so any other body is a protocol bug: it fails with a
+/// SimError naming `channel` instead of a bare std::bad_any_cast.
+template <typename T>
+T& payload(CtrlMsg& msg, const char* channel) {
+  auto* p = std::any_cast<T>(&msg.body);
+  if (p == nullptr) {
+    throw SimError(std::string("foreign payload type on ") + channel + " (from proc " +
+                   std::to_string(msg.src) + ")");
+  }
+  return *p;
+}
 
 /// Inbox insertion tiebreak: messages landing at the SAME virtual time are
 /// kept in (src, post_stamp) order instead of delivery-event order, so the

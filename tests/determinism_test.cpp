@@ -9,10 +9,10 @@
 //
 // The matrix covers the four protocol regimes the offload stack has: basic
 // rendezvous pingpong, cached group alltoall, a wire-fault sweep (content-
-// keyed fates — see FaultSpec::content_keyed), and a proxy crash mid-stripe
+// keyed fates — see fabric/fault.h), and a proxy crash mid-stripe
 // (liveness + degraded completion). A planted-race fixture proves the
-// detector actually detects; a fault-fate unit test pins the global-stream
-// order dependence that content-keyed mode fixes.
+// detector actually detects; a fault-fate unit test pins that fates stick
+// to message identity under any tie order.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -130,11 +130,6 @@ RunRecord run_fault_sweep(std::uint64_t tie_seed) {
   s.fault.dup_prob = 0.08;
   s.fault.delay_prob = 0.10;
   s.fault.channels = {offload::kProxyChannel, offload::kGroupMetaChannel};
-  // Content-keyed fates: the fault pattern is a function of what was sent,
-  // not of global wire order — the property that makes a fault-injected
-  // workload order-independent at all. (The legacy global stream is itself
-  // a schedule dependence; FaultFates.* below pins that down.)
-  s.fault.content_keyed = true;
   return run_group_alltoall(tie_seed, s);
 }
 
@@ -235,14 +230,13 @@ TEST(DeterminismMatrix, PlantedRaceIsDetected) {
 }
 
 // ---------------------------------------------------------------------------
-// Regression pin for the fault-fate order dependence (the race this PR's
-// matrix surfaced): in legacy mode the fate of a message is the next draw
-// of one global stream, so presenting the same two messages in swapped
-// order swaps their fates; in content-keyed mode each fate sticks to the
-// message identity under any presentation order.
+// Regression pin for the fault-fate order dependence (the race this matrix
+// surfaced when fates were the next draw of one global stream): presenting
+// the same two messages in swapped order must not swap their fates — each
+// fate sticks to the message identity under any presentation order.
 // ---------------------------------------------------------------------------
 
-machine::ClusterSpec fate_spec(bool content_keyed) {
+machine::ClusterSpec fate_spec() {
   machine::ClusterSpec s;
   s.nodes = 2;
   s.host_procs_per_node = 1;
@@ -251,7 +245,6 @@ machine::ClusterSpec fate_spec(bool content_keyed) {
   s.fault.seed = 9;
   s.fault.drop_prob = 0.5;  // coarse: makes fate swaps overwhelmingly likely
   s.fault.channels = {offload::kProxyChannel};
-  s.fault.content_keyed = content_keyed;
   return s;
 }
 
@@ -260,8 +253,8 @@ machine::ClusterSpec fate_spec(bool content_keyed) {
 /// each same-time tie — exactly what tie-shuffle does — while preserving
 /// each sender's own order, which no reordering can change. Returned keyed
 /// by (sender, message index) so fates are compared per logical message.
-std::vector<bool> fates(bool content_keyed, bool b_first, int rounds) {
-  const auto s = fate_spec(content_keyed);
+std::vector<bool> fates(bool b_first, int rounds) {
+  const auto s = fate_spec();
   sim::Engine eng;
   fabric::FaultPlan plan(s.fault, s, eng.metrics());
   std::vector<bool> by_msg(static_cast<std::size_t>(2 * rounds));
@@ -276,16 +269,8 @@ std::vector<bool> fates(bool content_keyed, bool b_first, int rounds) {
   return by_msg;
 }
 
-TEST(FaultFates, LegacyGlobalStreamDependsOnTieOrder) {
-  // Documented order dependence of the legacy mode: same messages, swapped
-  // tie winners, different per-message fates. This is exactly why a
-  // fault-injected workload cannot pass the tie-shuffle matrix in legacy
-  // mode, and why it stays opt-out for the historical benches.
-  EXPECT_NE(fates(false, false, 8), fates(false, true, 8));
-}
-
 TEST(FaultFates, ContentKeyedFatesAreTieOrderInvariant) {
-  EXPECT_EQ(fates(true, false, 8), fates(true, true, 8));
+  EXPECT_EQ(fates(false, 8), fates(true, 8));
 }
 
 // ---------------------------------------------------------------------------

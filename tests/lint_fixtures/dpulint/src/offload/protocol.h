@@ -1,8 +1,7 @@
 // dpulint self-test fixture: a miniature protocol header with planted
-// nodiscard, proto-field and handler-exhaustive violations. Never compiled —
-// only lexed by `dpulint --self-test`. An expect-comment (rule names after
-// the colon) marks a line the analyzer MUST flag; unmarked lines must be
-// clean.
+// nodiscard and proto-field violations. Never compiled — only lexed by
+// `dpulint --self-test`. An expect-comment (rule names after the colon)
+// marks a line the analyzer MUST flag; unmarked lines must be clean.
 #pragma once
 
 namespace fixture {
@@ -12,74 +11,62 @@ namespace fixture {
 // enum class [[nodiscard]] Status { kOk, kFailed };
 enum class Status { kOk, kFailed };  // expect: nodiscard
 
-enum class MsgKind {
-  kPing,
-  kPong,
-  kBadTenant,
-  kDupClaimed,  // expect: handler-exhaustive
-  kOrphanStruct,
-  kLostKind,  // expect: handler-exhaustive
-  kWaivedTenant,
-  kBatchedOnly,
-};
-
-/// Fully conforming wire message: tagged, tenant-scoped, dispatched.
+/// Fully conforming wire message: a variant alternative, tenant-scoped.
 struct PingMsg {
-  static constexpr MsgKind kKind = MsgKind::kPing;
   int src_rank = -1;
   int tenant = 0;
 };
 
-/// Planted: tagged wire message with no tenant field and no waiver.
+/// Planted: wire message with no tenant field and no waiver.
 struct PongMsg {  // expect: proto-field
-  static constexpr MsgKind kKind = MsgKind::kPong;
   int dst_rank = -1;
 };
 
 /// Planted: wrong tenant declaration shape, an aliasing reference member,
 /// and a mutable static member — three distinct proto-field findings.
 struct BadTenantMsg {
-  static constexpr MsgKind kKind = MsgKind::kBadTenant;
   long tenant = 0;  // expect: proto-field
   int& aliased;  // expect: proto-field
   static int live_count;  // expect: proto-field
 };
 
-/// Planted: two structs claim kDupClaimed (finding lands on the enumerator).
-struct DupAMsg {
-  static constexpr MsgKind kKind = MsgKind::kDupClaimed;
-  int tenant = 0;
-};
-struct DupBMsg {
-  static constexpr MsgKind kKind = MsgKind::kDupClaimed;
-  int tenant = 0;
-};
-
-/// Planted: conforming message that no dispatch chain ever any_casts.
-struct OrphanStructMsg {
-  static constexpr MsgKind kKind = MsgKind::kOrphanStruct;  // expect: handler-exhaustive
-  int tenant = 0;
+/// Planted: reached only through a namespace-qualified alternative of the
+/// second alias; still a wire message.
+struct QualifiedMsg {  // expect: proto-field
+  int host_rank = -1;
 };
 
 /// Waived: structurally tenant-free, with the reason on record.
 // lint: proto-field ok: fixture message keyed by globally unique rank
 struct WaivedTenantMsg {
-  static constexpr MsgKind kKind = MsgKind::kWaivedTenant;
   int host_rank = -1;
 };
 
-/// Waived: only ever travels inside another message, so no dispatch site.
+/// Not a wire message: only a member of another message (like CreditMsg
+/// inside CreditBatchMsg), so it is exempt even without a tenant.
 struct BatchedOnlyMsg {
-  // lint: handler-exhaustive ok: rides inside PingMsg batches in this fixture
-  static constexpr MsgKind kKind = MsgKind::kBatchedOnly;
-  int tenant = 0;
+  int dst_rank = -1;
 };
 
-/// Untagged helper struct: not a wire message, exempt from proto-field
-/// even though it has no tenant and holds a reference.
+/// Untagged helper struct: not a variant alternative, exempt from
+/// proto-field even though it has no tenant and holds a reference. The
+/// member variant and the commented-out alias below are decoys: only
+/// `using X = std::variant<...>;` aliases name wire messages.
 struct ScratchState {
   int slots = 0;
   int& scratch_ref;
 };
+
+struct HolderMsg {
+  std::variant<ScratchState, int> scratch;
+  std::vector<BatchedOnlyMsg> batch;
+  int tenant = 0;
+};
+
+// using DecoyWire = std::variant<ScratchState>;
+
+/// The channel payload aliases that define "wire message".
+using FixtureWire = std::variant<PingMsg, PongMsg, BadTenantMsg, WaivedTenantMsg, HolderMsg>;
+using FixtureLiveness = variant<PingMsg, fixture::QualifiedMsg>;
 
 }  // namespace fixture

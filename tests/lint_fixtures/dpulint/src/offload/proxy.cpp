@@ -1,5 +1,5 @@
-// dpulint self-test fixture: dispatch sites and the declarations that feed
-// the await-status symbol tables. Never compiled — only lexed.
+// dpulint self-test fixture: the declarations that feed the await-status
+// symbol tables. Never compiled — only lexed.
 #include "offload/protocol.h"
 
 namespace fixture {
@@ -28,23 +28,5 @@ struct RankCtx {
 };
 
 FakeEndpoint& endpoint(int rank);
-
-/// The dispatch chain the handler-exhaustive rule indexes. OrphanStructMsg
-/// is deliberately absent.
-void handle(const Message& msg) {
-  if (auto* p = std::any_cast<PingMsg>(&msg.body)) {
-    consume(*p);
-  } else if (auto* p = std::any_cast<PongMsg>(&msg.body)) {
-    consume(*p);
-  } else if (auto* p = std::any_cast<BadTenantMsg>(&msg.body)) {
-    consume(*p);
-  } else if (auto* p = std::any_cast<DupAMsg>(&msg.body)) {
-    consume(*p);
-  } else if (auto* p = std::any_cast<DupBMsg>(&msg.body)) {
-    consume(*p);
-  } else if (auto* p = std::any_cast<WaivedTenantMsg>(&msg.body)) {
-    consume(*p);
-  }
-}
 
 }  // namespace fixture

@@ -28,14 +28,14 @@ struct FileUnit {
   LexedFile lx;
 };
 
-/// A wire-message struct: any struct in src/offload/protocol.h declaring a
-/// `static constexpr MsgKind kKind = MsgKind::<enumerator>;` member. The tag
-/// is what makes "wire message" machine-recognizable — no name heuristics.
+/// A struct declared in src/offload/protocol.h. It is a wire message when
+/// its name is an alternative of one of that header's
+/// `using X = std::variant<...>;` channel aliases — the variants are what
+/// the receive sites dispatch over, so "wire message" needs no name
+/// heuristics and no tag.
 struct WireStruct {
   std::string name;
-  int line = 0;       // struct declaration line
-  std::string enumerator;
-  int kind_line = 0;  // the kKind member's line (handler waivers sit here)
+  int line = 0;  // struct declaration line
   bool has_tenant = false;
   bool tenant_ok = false;       // exactly `int tenant = 0;`
   int tenant_line = 0;
@@ -48,12 +48,10 @@ struct Index {
   std::vector<FileUnit> files;
 
   // ---- protocol registry (src/offload/protocol.h) -------------------------
-  std::vector<std::pair<std::string, int>> msg_kinds;  // enumerator, line
   std::vector<WireStruct> wire_structs;
+  /// Alternatives of the header's std::variant aliases (the wire messages).
+  std::set<std::string> variant_alternatives;
   const FileUnit* protocol_file = nullptr;
-
-  /// Types appearing in `any_cast<...>` across src/ — the dispatch sites.
-  std::set<std::string> dispatched_types;
 
   // ---- metric registry links across src/ ----------------------------------
   struct LinkSite {

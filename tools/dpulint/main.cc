@@ -188,10 +188,8 @@ int main(int argc, char** argv) {
       std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
                 << f.message << "\n";
     if (findings.empty()) {
-      std::size_t tagged = 0;
-      for (const auto& ws : idx.wire_structs)
-        if (!ws.enumerator.empty()) ++tagged;
-      std::cout << "dpulint: OK (" << idx.files.size() << " files, " << tagged
+      std::cout << "dpulint: OK (" << idx.files.size() << " files, "
+                << idx.variant_alternatives.size()
                 << " wire messages, " << idx.metric_links.size()
                 << " metric links)\n";
     }

@@ -1,8 +1,10 @@
 // The rule catalogue. Token rules (wall-clock, raw-post, ev-alloc, thread,
 // fallback-ctx, nodiscard) match on the token stream, so string/comment
 // false positives are structurally impossible. The cross-file rules
-// (proto-field, handler-exhaustive, layer-dag, await-status, repo-wide
-// metric-dup) need the symbol index — no single-line regex can express them.
+// (proto-field, layer-dag, await-status, repo-wide metric-dup) need the
+// symbol index — no single-line regex can express them. Message-handler
+// exhaustiveness is not a rule: every receive site dispatches a closed
+// std::variant through sim::dispatch, so the compiler checks it.
 #include <algorithm>
 #include <cctype>
 #include <map>
@@ -389,7 +391,7 @@ void proto_field(Ctx& c) {
   if (!idx.protocol_file) return;
   const FileUnit& pf = *idx.protocol_file;
   for (const WireStruct& ws : idx.wire_structs) {
-    if (ws.enumerator.empty()) continue;  // not a wire message (no kKind tag)
+    if (!idx.variant_alternatives.count(ws.name)) continue;  // not a wire message
     if (!ws.has_tenant)
       c.add(pf, ws.line, "proto-field",
             "wire message '" + ws.name +
@@ -416,44 +418,6 @@ void proto_field(Ctx& c) {
   }
 }
 
-void handler_exhaustive(Ctx& c) {
-  const Index& idx = c.idx;
-  if (!idx.protocol_file || idx.msg_kinds.empty()) return;
-  const FileUnit& pf = *idx.protocol_file;
-  std::map<std::string, int> claims;  // enumerator -> #structs tagging it
-  for (const WireStruct& ws : idx.wire_structs)
-    if (!ws.enumerator.empty()) ++claims[ws.enumerator];
-
-  std::map<std::string, int> enum_lines;
-  for (const auto& [name, line] : idx.msg_kinds) {
-    enum_lines[name] = line;
-    int n = claims.count(name) ? claims[name] : 0;
-    if (n == 0)
-      c.add(pf, line, "handler-exhaustive",
-            "MsgKind::" + name +
-                " has no wire struct declaring `kKind = MsgKind::" + name +
-                "`: every message kind must map to exactly one struct");
-    else if (n > 1)
-      c.add(pf, line, "handler-exhaustive",
-            "MsgKind::" + name + " is claimed by " + std::to_string(n) +
-                " wire structs: kinds must be unique");
-  }
-  for (const WireStruct& ws : idx.wire_structs) {
-    if (ws.enumerator.empty()) continue;
-    if (!enum_lines.count(ws.enumerator))
-      c.add(pf, ws.kind_line, "handler-exhaustive",
-            "wire message '" + ws.name + "' tags unknown enumerator MsgKind::" +
-                ws.enumerator);
-    else if (!idx.dispatched_types.count(ws.name))
-      c.add(pf, ws.kind_line, "handler-exhaustive",
-            "wire message '" + ws.name +
-                "' has no any_cast<" + ws.name +
-                "> dispatch site anywhere in src/: an undispatched kind "
-                "rots in every inbox; handle it or say why with "
-                "'// lint: handler-exhaustive ok: <reason>'");
-  }
-}
-
 }  // namespace
 
 std::vector<Finding> run_rules(const Index& idx) {
@@ -467,7 +431,6 @@ std::vector<Finding> run_rules(const Index& idx) {
   metric_dup(c);
   nodiscard_status(c);
   proto_field(c);
-  handler_exhaustive(c);
   std::sort(out.begin(), out.end(), [](const Finding& a, const Finding& b) {
     return std::tie(a.file, a.line, a.rule, a.message) <
            std::tie(b.file, b.line, b.rule, b.message);
